@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -31,14 +31,15 @@ from .codes import (
     encode,
 )
 from .errors import MHeightError
-from .heights import ExtendedHeight
 from .lp import exact_mheight, exact_profile
 
 _FAMILIES = (DUAL_POLYGONAL, DUAL_ICOSAHEDRAL, DUAL_DODECAHEDRAL)
-_SUITES = ("polygonal-order", "icos-chain", "dode-ranks", "monotonicity",
-           "candidates", "cross-check")
+_SAMPLED_SUITES = ("polygonal-order", "icos-chain", "dode-ranks")
+_SUITES = (*_SAMPLED_SUITES, "monotonicity", "candidates", "cross-check")
 _POLYGONAL_NS = range(3, 13)
 _MONOTONICITY_GRID = 50
+#: Points per array pass of a sampled suite; bounds memory for any --samples.
+_CHUNK = 4096
 
 
 def _fmt_float(x: float) -> str:
@@ -85,13 +86,6 @@ def _emit(value: Any, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _height_doc(height: ExtendedHeight) -> dict:
-    doc: dict = {"value": "inf" if height.infinite else height.value}
-    if height.witness is not None:
-        doc["witness"] = list(height.witness)
-    return doc
-
-
 def _build_generator(args: argparse.Namespace) -> GeneratorMatrix:
     if args.family == DUAL_POLYGONAL:
         if args.n is None:
@@ -100,10 +94,6 @@ def _build_generator(args: argparse.Namespace) -> GeneratorMatrix:
     if args.family == DUAL_ICOSAHEDRAL:
         return dual_icosahedral()
     return dual_dodecahedral()
-
-
-def _family_of(args: argparse.Namespace) -> Family:
-    return _build_generator(args).family
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -132,7 +122,7 @@ def cmd_height(args: argparse.Namespace) -> int:
             domain = search.dodecahedral_domain()
         height = search.domain_search(generator, args.m, domain, args.resolution)
     doc = {"family": generator.family.label, "m": args.m,
-           "method": args.method, **_height_doc(height)}
+           "method": args.method, **height.to_json_dict()}
     print(_dumps(doc))
     return 0
 
@@ -188,33 +178,39 @@ def cmd_capability(args: argparse.Namespace) -> int:
 # Verification suites
 
 
-def _sample_triangle(rng: np.random.Generator) -> tuple[float, float]:
-    while True:
-        u = float(rng.random())
-        v = float(rng.random())
-        if u + v <= 1.0:
-            return u, v
+def _arc_chunks(rng: np.random.Generator, n: int, samples: int) -> Iterator[np.ndarray]:
+    """``samples`` angles ``rng.random() * pi / (2n)``, in order, in chunks."""
+    while samples > 0:
+        size = min(samples, _CHUNK)
+        yield rng.random(size) * math.pi / (2 * n)
+        samples -= size
+
+
+def _triangle_chunks(rng: np.random.Generator,
+                     samples: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The first ``samples`` pairs ``(u, v)`` with ``u + v <= 1`` among
+    successive pairs of ``rng.random()`` draws, in chunks."""
+    while samples > 0:
+        uv = rng.random((_CHUNK, 2))
+        uv = uv[uv[:, 0] + uv[:, 1] <= 1.0][:samples]
+        samples -= len(uv)
+        yield uv[:, 0], uv[:, 1]
 
 
 def _suite_polygonal_order(samples: int, rng: np.random.Generator) -> list[dict]:
     checks = []
     for n in _POLYGONAL_NS:
-        bad = 0
-        for _ in range(samples):
-            alpha = float(rng.random()) * math.pi / (2 * n)
-            bad += len(search.polygonal_order_indices(n, alpha).violations)
+        bad = sum(int(search.polygonal_order_violations(n, alphas).sum())
+                  for alphas in _arc_chunks(rng, n, samples))
         checks.append({"name": f"polygonal-order-n{n}", "samples": samples,
                        "violations": bad, "passed": bad == 0})
     return checks
 
 
 def _suite_triangle_ranks(kind: str, samples: int, rng: np.random.Generator) -> list[dict]:
-    check = (search.icosahedral_chain_check if kind == "icos"
-             else search.dodecahedral_rank_check)
-    bad = 0
-    for _ in range(samples):
-        u, v = _sample_triangle(rng)
-        bad += len(check(u, v).violations)
+    count = (search.icosahedral_chain_violations if kind == "icos"
+             else search.dodecahedral_rank_violations)
+    bad = sum(int(count(us, vs).sum()) for us, vs in _triangle_chunks(rng, samples))
     name = "icosahedral-chain" if kind == "icos" else "dodecahedral-ranks"
     return [{"name": name, "samples": samples, "violations": bad,
              "passed": bad == 0}]
@@ -379,6 +375,9 @@ def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
+        if (args.command == "verify" and args.suite in _SAMPLED_SUITES
+                and args.samples is not None and args.samples < 1):
+            parser.error(f"--samples must be >= 1 for suite {args.suite}")
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return code

@@ -525,8 +525,15 @@ def _mheight_reference(generator: GeneratorMatrix, m: int,
                         best_val = result.value
                         best_point = result.point
     if best_point is None:
-        raise InvalidParameterError(
-            "no configuration is feasible; the generator has no nonzero codeword")
+        # Any codeword with m+1 nonzero entries scales into some feasible
+        # configuration, so every nonzero codeword has at most m of them:
+        # its (m+1)-th order statistic is zero.
+        cols = generator.columns
+        j = int(np.argmax(np.linalg.norm(cols, axis=1)))
+        if not cols[j].any():
+            raise InvalidParameterError(
+                "no configuration is feasible; the generator has no nonzero codeword")
+        return ExtendedHeight(math.inf, witness=tuple(_canonical_direction(cols[j])))
     return ExtendedHeight(best_val, witness=best_point)
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -80,12 +81,16 @@ class TriangleDomain:
         if np.linalg.matrix_rank(span) < 2:
             raise InvalidParameterError("triangle vertices are affinely dependent")
 
+    @cached_property
+    def _vertex_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return np.array(self.v1), np.array(self.v2), np.array(self.v3)
+
     def point(self, u: float, v: float) -> np.ndarray:
-        a, b, c = (np.array(self.v1), np.array(self.v2), np.array(self.v3))
+        a, b, c = self._vertex_arrays
         return u * a + v * b + (1.0 - u - v) * c
 
     def points(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        a, b, c = (np.array(self.v1), np.array(self.v2), np.array(self.v3))
+        a, b, c = self._vertex_arrays
         w = 1.0 - us - vs
         return np.outer(us, a) + np.outer(vs, b) + np.outer(w, c)
 
@@ -149,10 +154,6 @@ class RankReport:
         }
 
 
-def _tied(a: float, b: float) -> bool:
-    return abs(a - b) <= TIE_TOL * max(1.0, abs(a), abs(b))
-
-
 def polygonal_rank_index(n: int, k: int) -> int:
     """Index whose magnitude attains rank ``k`` (0-based) on the arc.
 
@@ -167,27 +168,6 @@ def polygonal_rank_index(n: int, k: int) -> int:
     if k % 2 == 1:
         return (k + 1) // 2
     return n - k // 2
-
-
-def polygonal_order_indices(n: int, alpha: float) -> RankReport:
-    """Check the fixed arc ordering of ``|cos(pi*j/n - alpha)|`` at ``alpha``."""
-    if n < 2:
-        raise InvalidParameterError("need n >= 2")
-    upper = math.pi / (2 * n)
-    if not -1e-12 <= alpha <= upper + 1e-12:
-        raise InvalidParameterError(
-            f"alpha must lie in [0, {upper:.6g}], got {alpha}")
-    mags = np.abs(np.cos(np.pi * np.arange(n) / n - alpha))
-    perm = np.argsort(-mags, kind="stable")
-    violations = []
-    for k in range(n):
-        expected = polygonal_rank_index(n, k)
-        attained = float(mags[perm[k]])
-        gap = attained - float(mags[expected])
-        if gap > TIE_TOL * max(1.0, attained):
-            violations.append(Violation(f"rank {k} expected index {expected}", gap))
-    return RankReport((float(alpha),), tuple(int(j) for j in perm),
-                      tuple(violations))
 
 
 _ICOSA_CHAIN = (1, 3, 5, 4, 2, 6)   # axis numbers by nonincreasing magnitude
@@ -206,47 +186,134 @@ _DODE_PAIRS = (
 )
 
 
-def _check_triangle_params(u: float, v: float) -> None:
-    if u < -1e-12 or v < -1e-12 or u + v > 1.0 + 1e-12:
+@dataclass(frozen=True)
+class _RuleCheck:
+    """One ordering rule evaluated at ``N`` points.
+
+    ``mags`` holds the ``(N, n)`` projection magnitudes; column ``r`` of
+    ``gaps`` and ``failed`` is the assertion named ``labels[r]``.
+    """
+
+    mags: np.ndarray
+    labels: tuple[str, ...]
+    gaps: np.ndarray
+    failed: np.ndarray
+
+    def counts(self) -> np.ndarray:
+        return self.failed.sum(axis=1)
+
+    def report(self, point: tuple[float, ...], base: int) -> RankReport:
+        """The single-point report for point 0; ``base`` offsets ``perm``."""
+        perm = np.argsort(-self.mags[0], kind="stable") + base
+        violations = tuple(Violation(self.labels[r], float(self.gaps[0, r]))
+                           for r in np.flatnonzero(self.failed[0]))
+        return RankReport(point, tuple(int(j) for j in perm), violations)
+
+
+def _check_alphas(n: int, alphas: np.ndarray) -> None:
+    if n < 2:
+        raise InvalidParameterError("need n >= 2")
+    upper = math.pi / (2 * n)
+    bad = (alphas < -1e-12) | (alphas > upper + 1e-12)
+    if bad.any():
         raise InvalidParameterError(
-            f"(u, v) must satisfy u, v >= 0 and u + v <= 1, got ({u}, {v})")
+            f"alpha must lie in [0, {upper:.6g}], got {alphas[bad][0]}")
+
+
+def _arc_order(n: int, alphas: Sequence[float] | np.ndarray) -> _RuleCheck:
+    """Rank ``k`` of ``|cos(pi*j/n - alpha)|`` is attained at index
+    :func:`polygonal_rank_index` ``(n, k)``, up to ties."""
+    alphas = np.asarray(alphas, dtype=float)
+    _check_alphas(n, alphas)
+    mags = np.abs(np.cos(np.pi * np.arange(n) / n - alphas[:, None]))
+    attained = np.sort(mags, axis=1)[:, ::-1]
+    expected = [polygonal_rank_index(n, k) for k in range(n)]
+    gaps = attained - mags[:, expected]
+    return _RuleCheck(mags, tuple(f"rank {k} expected index {e}"
+                                  for k, e in enumerate(expected)),
+                      gaps, gaps > TIE_TOL * np.maximum(1.0, attained))
+
+
+def _dominance(mags: np.ndarray, pairs: tuple[tuple[int, int], ...]) -> _RuleCheck:
+    """``|x.g_hi| >= |x.g_lo|`` for each 1-based axis pair, up to ties."""
+    lo = mags[:, [b - 1 for _, b in pairs]]
+    gaps = lo - mags[:, [a - 1 for a, _ in pairs]]
+    return _RuleCheck(mags, tuple(f"g{a} >= g{b}" for a, b in pairs),
+                      gaps, gaps > TIE_TOL * np.maximum(1.0, lo))
+
+
+def _rank_sets(mags: np.ndarray) -> _RuleCheck:
+    """Each rank's magnitude ties some axis of its ``_DODE_RANK_SETS`` entry."""
+    order = np.sort(mags, axis=1)[:, ::-1]
+    gaps, failed = [], []
+    for rank, allowed in _DODE_RANK_SETS.items():
+        value = order[:, rank - 1:rank]
+        cand = mags[:, [axis - 1 for axis in allowed]]
+        diff = np.abs(cand - value)
+        tied = diff <= TIE_TOL * np.maximum(1.0, np.maximum(cand, value))
+        gaps.append(diff.min(axis=1))
+        failed.append(~tied.any(axis=1))
+    return _RuleCheck(mags, tuple(f"rank {rank} outside axes {allowed}"
+                                  for rank, allowed in _DODE_RANK_SETS.items()),
+                      np.column_stack(gaps), np.column_stack(failed))
+
+
+def _check_triangle_params(us: np.ndarray, vs: np.ndarray) -> None:
+    bad = (us < -1e-12) | (vs < -1e-12) | (us + vs > 1.0 + 1e-12)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise InvalidParameterError(
+            "(u, v) must satisfy u, v >= 0 and u + v <= 1, "
+            f"got ({us[i]}, {vs[i]})")
+
+
+def _icosa_chain(us: Sequence[float] | np.ndarray,
+                 vs: Sequence[float] | np.ndarray) -> _RuleCheck:
+    us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
+    _check_triangle_params(us, vs)
+    mags = np.abs(icosahedral_domain().points(us, vs) @ dual_icosahedral().matrix)
+    return _dominance(mags, tuple(zip(_ICOSA_CHAIN, _ICOSA_CHAIN[1:])))
+
+
+def _dode_ranks(us: Sequence[float] | np.ndarray,
+                vs: Sequence[float] | np.ndarray) -> _RuleCheck:
+    us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
+    _check_triangle_params(us, vs)
+    mags = np.abs(dodecahedral_domain().points(us, vs) @ dual_dodecahedral().matrix)
+    pairs, ranks = _dominance(mags, _DODE_PAIRS), _rank_sets(mags)
+    return _RuleCheck(mags, pairs.labels + ranks.labels,
+                      np.hstack([pairs.gaps, ranks.gaps]),
+                      np.hstack([pairs.failed, ranks.failed]))
+
+
+def polygonal_order_indices(n: int, alpha: float) -> RankReport:
+    """Check the fixed arc ordering of ``|cos(pi*j/n - alpha)|`` at ``alpha``."""
+    return _arc_order(n, [alpha]).report((float(alpha),), 0)
+
+
+def polygonal_order_violations(n: int, alphas: np.ndarray) -> np.ndarray:
+    """Per-angle violation counts of :func:`polygonal_order_indices`."""
+    return _arc_order(n, alphas).counts()
 
 
 def icosahedral_chain_check(u: float, v: float) -> RankReport:
     """Verify the fixed magnitude chain of the six axis projections."""
-    _check_triangle_params(u, v)
-    x = icosahedral_domain().point(u, v)
-    mags = np.abs(x @ dual_icosahedral().matrix)
-    violations = []
-    for hi_axis, lo_axis in zip(_ICOSA_CHAIN, _ICOSA_CHAIN[1:]):
-        gap = float(mags[lo_axis - 1] - mags[hi_axis - 1])
-        if gap > TIE_TOL * max(1.0, float(mags[lo_axis - 1])):
-            violations.append(Violation(f"g{hi_axis} >= g{lo_axis}", gap))
-    perm = np.argsort(-mags, kind="stable") + 1
-    return RankReport((float(u), float(v)), tuple(int(j) for j in perm),
-                      tuple(violations))
+    return _icosa_chain([u], [v]).report((float(u), float(v)), 1)
+
+
+def icosahedral_chain_violations(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Per-point violation counts of :func:`icosahedral_chain_check`."""
+    return _icosa_chain(us, vs).counts()
 
 
 def dodecahedral_rank_check(u: float, v: float) -> RankReport:
     """Verify rank supports and pairwise dominances of the ten projections."""
-    _check_triangle_params(u, v)
-    x = dodecahedral_domain().point(u, v)
-    mags = np.abs(x @ dual_dodecahedral().matrix)
-    order = np.sort(mags)[::-1]
-    violations = []
-    for hi_axis, lo_axis in _DODE_PAIRS:
-        gap = float(mags[lo_axis - 1] - mags[hi_axis - 1])
-        if gap > TIE_TOL * max(1.0, float(mags[lo_axis - 1])):
-            violations.append(Violation(f"g{hi_axis} >= g{lo_axis}", gap))
-    for rank, allowed in _DODE_RANK_SETS.items():
-        value = float(order[rank - 1])
-        if not any(_tied(float(mags[axis - 1]), value) for axis in allowed):
-            violations.append(Violation(
-                f"rank {rank} outside axes {allowed}",
-                min(abs(value - float(mags[axis - 1])) for axis in allowed)))
-    perm = np.argsort(-mags, kind="stable") + 1
-    return RankReport((float(u), float(v)), tuple(int(j) for j in perm),
-                      tuple(violations))
+    return _dode_ranks([u], [v]).report((float(u), float(v)), 1)
+
+
+def dodecahedral_rank_violations(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Per-point violation counts of :func:`dodecahedral_rank_check`."""
+    return _dode_ranks(us, vs).counts()
 
 
 def dodecahedral_candidates() -> tuple[tuple[float, float], ...]:
@@ -450,6 +517,17 @@ def _ratio_batch(points: np.ndarray, matrix: np.ndarray, m: int) -> tuple[np.nda
     return ratios, num, den
 
 
+def _ratio_at(point: np.ndarray, matrix: np.ndarray, m: int) -> float:
+    """:func:`_ratio_batch`'s ratio for one ``(1, k)`` point row, with the
+    same arithmetic but without the array bookkeeping of a batch."""
+    mags = np.abs(point @ matrix)[0]
+    mags.sort()
+    num, den = mags[-1], mags[-1 - m]
+    if den > 0.0:
+        return float(num / den)
+    return math.inf if num > 0.0 else -math.inf
+
+
 def domain_search(generator: GeneratorMatrix, m: int, domain: FundamentalDomain,
                   resolution: int | None = None) -> ExtendedHeight:
     """Grid search plus local refinement over a fundamental domain.
@@ -496,8 +574,7 @@ def _search_arc(generator: GeneratorMatrix, m: int, domain: ArcDomain,
     best_val = float(ratios[best])
 
     def f(alpha: float) -> float:
-        r, _, _ = _ratio_batch(np.array([[math.cos(alpha), math.sin(alpha)]]), matrix, m)
-        return float(r[0])
+        return _ratio_at(np.array([[math.cos(alpha), math.sin(alpha)]]), matrix, m)
 
     step = domain.upper / (resolution - 1)
     lo = max(0.0, best_alpha - step)
@@ -505,9 +582,9 @@ def _search_arc(generator: GeneratorMatrix, m: int, domain: ArcDomain,
     x, fx = _golden_max(f, lo, hi)
     if fx > best_val:
         best_val, best_alpha = fx, x
-    if math.isinf(best_val):
-        return ExtendedHeight(math.inf, witness=(math.cos(best_alpha), math.sin(best_alpha)))
-    return ExtendedHeight(best_val, witness=(math.cos(best_alpha), math.sin(best_alpha)))
+    # abs: -inf (every sampled codeword vanished) reads as infinite.
+    return ExtendedHeight(abs(best_val),
+                          witness=(math.cos(best_alpha), math.sin(best_alpha)))
 
 
 def _search_triangle(generator: GeneratorMatrix, m: int, domain: TriangleDomain,
@@ -531,8 +608,7 @@ def _search_triangle(generator: GeneratorMatrix, m: int, domain: TriangleDomain,
     best_val = float(ratios[best])
 
     def f(u: float, v: float) -> float:
-        r, _, _ = _ratio_batch(domain.point(u, v)[None, :], matrix, m)
-        return float(r[0])
+        return _ratio_at(domain.point(u, v)[None, :], matrix, m)
 
     cell = 1.0 / (resolution - 1)
     for _ in range(_REFINE_SWEEPS):
@@ -550,6 +626,4 @@ def _search_triangle(generator: GeneratorMatrix, m: int, domain: TriangleDomain,
         witness = domain.point(bu, bv)
     else:
         witness = pts[best]
-    if math.isinf(best_val):
-        return ExtendedHeight(math.inf, witness=tuple(witness))
-    return ExtendedHeight(best_val, witness=tuple(witness))
+    return ExtendedHeight(abs(best_val), witness=tuple(witness))   # as in _search_arc

@@ -3,9 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from mheight import PHI
+from mheight import PHI, cli, search
 from mheight.cli import run
 
 SQRT5 = math.sqrt(5.0)
@@ -130,6 +131,70 @@ class TestVerify:
         assert code == 0
         doc = json.loads(out)
         assert doc["seed"] == 3 and doc["passed"] is True
+
+
+def scalar_triangle_draws(rng, samples):
+    """Rejection sampling one ``rng.random()`` draw at a time."""
+    pairs = []
+    while len(pairs) < samples:
+        u, v = float(rng.random()), float(rng.random())
+        if u + v <= 1.0:
+            pairs.append((u, v))
+    return pairs
+
+
+class TestSampledSuites:
+    @pytest.mark.parametrize("suite", ["polygonal-order", "icos-chain", "dode-ranks"])
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_is_usage_error(self, capsys, suite, samples):
+        code = run(["verify", "--suite", suite, "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--samples must be >= 1" in captured.err
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_chunked_draws_match_scalar_draws(self, monkeypatch, seed):
+        monkeypatch.setattr(cli, "_CHUNK", 64)
+        for n in (3, 12):
+            rng = np.random.default_rng(seed)
+            batched = np.concatenate(list(cli._arc_chunks(rng, n, 1000)))
+            rng = np.random.default_rng(seed)
+            scalar = [float(rng.random()) * math.pi / (2 * n) for _ in range(1000)]
+            assert batched.tolist() == scalar
+        rng = np.random.default_rng(seed)
+        chunks = list(cli._triangle_chunks(rng, 500))
+        assert len(chunks) > 1 and all(len(us) <= 64 for us, _ in chunks)
+        batched = [(u, v) for us, vs in chunks for u, v in zip(us.tolist(), vs.tolist())]
+        assert batched == scalar_triangle_draws(np.random.default_rng(seed), 500)
+
+    @pytest.mark.parametrize("suite,table,wrong", [
+        ("polygonal-order", "polygonal_rank_index", lambda n, k: k),
+        ("icos-chain", "_ICOSA_CHAIN", (1, 5, 3, 4, 6, 2)),
+        ("dode-ranks", "_DODE_PAIRS", ((5, 1), (9, 5), (2, 6))),
+    ])
+    def test_suite_counts_match_scalar_checks(self, capsys, monkeypatch,
+                                              suite, table, wrong):
+        # A wrong rule table makes the counts nonzero, so the chunked array
+        # pass must reproduce the scalar per-point checks on the same draws.
+        monkeypatch.setattr(cli, "_CHUNK", 64)
+        monkeypatch.setattr(search, table, wrong)
+        rng = np.random.default_rng(3)
+        if suite == "polygonal-order":
+            expected = [sum(len(search.polygonal_order_indices(
+                            n, float(rng.random()) * math.pi / (2 * n)).violations)
+                            for _ in range(300)) for n in range(3, 13)]
+        else:
+            check = (search.icosahedral_chain_check if suite == "icos-chain"
+                     else search.dodecahedral_rank_check)
+            expected = [sum(len(check(u, v).violations)
+                            for u, v in scalar_triangle_draws(rng, 300))]
+        code, out = invoke(capsys, "verify", "--suite", suite,
+                           "--samples", "300", "--seed", "3")
+        doc = json.loads(out)
+        assert code == 1 and doc["passed"] is False
+        assert [c["violations"] for c in doc["checks"]] == expected
+        assert sum(expected) > 0
 
 
 class TestDeterminism:

@@ -290,6 +290,37 @@ class TestExactProfile:
         assert stats.engine == "reference"
         assert prof.height(1).value == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("columns", [
+        [(1.0, 0.0), (0.0, 1.0), (0.0, 0.0)],
+        [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.0, 0.0)],
+        [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 1.0, 1.0),
+         (0.0, 0.0, 0.0)],
+        [(1.0, 0.0), (2.0, 0.0), (0.0, 0.0)],
+        [(0.0, 0.0), (1.0, 2.0), (0.0, 0.0), (-2.0, -4.0)],
+    ])
+    def test_zero_column_engines_agree(self, columns):
+        from mheight import encode
+        g = from_columns(columns)
+        auto = exact_profile(g)
+        for m in range(1, g.n):
+            ref = exact_mheight(g, m, engine="reference")
+            assert ref.infinite == auto.height(m).infinite, m
+            if ref.infinite:
+                stats = encode(g, ref.witness).order_stats
+                assert stats[0] > 0.1 and stats[m] == pytest.approx(0.0, abs=1e-9)
+            else:
+                assert ref.value == pytest.approx(auto.height(m).value, rel=1e-9)
+
+    def test_rank_deficient_zero_column_profile(self):
+        prof = exact_profile(from_columns([(1.0, 0.0), (2.0, 0.0), (0.0, 0.0)]))
+        assert prof.height(1).value == pytest.approx(2.0, rel=1e-9)
+        assert prof.height(2).infinite
+
+    def test_all_zero_generator_has_no_height(self):
+        g = from_columns([(0.0, 0.0)] * 3)
+        with pytest.raises(InvalidParameterError, match="no nonzero codeword"):
+            exact_mheight(g, 1, engine="reference")
+
     def test_closed_form_oracle_agreement(self):
         for family in (Family("dual-polygonal", 8), Family("dual-icosahedral")):
             g = (dual_polygonal(8) if family.n else dual_icosahedral())

@@ -28,6 +28,7 @@ from mheight import (
     polygonal_order_indices,
     polygonal_rank_index,
 )
+from mheight import search
 from mheight.codes import DUAL_DODECAHEDRAL, DUAL_ICOSAHEDRAL, DUAL_POLYGONAL
 
 SQRT5 = math.sqrt(5.0)
@@ -156,6 +157,136 @@ class TestDodecahedralRanks:
         for _ in range(500):
             u, v = sample_triangle(rng)
             assert dodecahedral_rank_check(u, v).ok
+
+
+def reference_polygonal(n, alpha):
+    """Scalar loop form of the arc ordering rule: violations at one angle."""
+    mags = np.abs(np.cos(np.pi * np.arange(n) / n - alpha))
+    attained = np.sort(mags)[::-1]
+    out = []
+    for k in range(n):
+        expected = search.polygonal_rank_index(n, k)
+        gap = float(attained[k]) - float(mags[expected])
+        if gap > search.TIE_TOL * max(1.0, float(attained[k])):
+            out.append((f"rank {k} expected index {expected}", gap))
+    return out
+
+
+def _reference_pairs(mags, pairs):
+    out = []
+    for hi_axis, lo_axis in pairs:
+        gap = float(mags[lo_axis - 1] - mags[hi_axis - 1])
+        if gap > search.TIE_TOL * max(1.0, float(mags[lo_axis - 1])):
+            out.append((f"g{hi_axis} >= g{lo_axis}", gap))
+    return out
+
+
+def reference_icosa(u, v):
+    """Scalar loop form of the icosahedral chain rule."""
+    mags = np.abs(icosahedral_domain().point(u, v) @ dual_icosahedral().matrix)
+    chain = search._ICOSA_CHAIN
+    return _reference_pairs(mags, tuple(zip(chain, chain[1:])))
+
+
+def reference_dode(u, v):
+    """Scalar loop form of the dodecahedral pair and rank-set rules."""
+    mags = np.abs(dodecahedral_domain().point(u, v) @ dual_dodecahedral().matrix)
+    out = _reference_pairs(mags, search._DODE_PAIRS)
+    order = np.sort(mags)[::-1]
+    for rank, allowed in search._DODE_RANK_SETS.items():
+        value = float(order[rank - 1])
+        diffs = [abs(float(mags[axis - 1]) - value) for axis in allowed]
+        if not any(d <= search.TIE_TOL * max(1.0, float(mags[axis - 1]), value)
+                   for d, axis in zip(diffs, allowed)):
+            out.append((f"rank {rank} outside axes {allowed}", min(diffs)))
+    return out
+
+
+def triangle_points():
+    """Seeded interior points plus vertices, edge points and tie points."""
+    rng = np.random.default_rng(5)
+    pts = [sample_triangle(rng) for _ in range(400)]
+    pts += [(1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.5, 0.5), (0.5, 0.0),
+            (0.0, 0.5), (0.25, 0.75), (1.0 / 3.0, 1.0 / 3.0)]
+    pts += list(dodecahedral_candidates())
+    cut = 2.0 * SQRT5 - 4.0                  # where the eighth projection vanishes
+    pts += [(u, cut * (1.0 - u)) for u in (0.1, 0.4, 0.8)]
+    return np.array(pts)
+
+
+def arc_angles(n):
+    rng = np.random.default_rng(n)
+    upper = math.pi / (2 * n)
+    return np.concatenate([[0.0, upper / 2, upper], rng.random(200) * upper])
+
+
+def _labelled(report):
+    return [(v.label, v.magnitude) for v in report.violations]
+
+
+class TestBatchedRules:
+    """The array rules count exactly the violations of the scalar loop form,
+    and the single-point reports list them."""
+
+    def check_polygonal(self):
+        total = 0
+        for n in range(2, 14):
+            alphas = arc_angles(n)
+            counts = search.polygonal_order_violations(n, alphas)
+            expected = [reference_polygonal(n, a) for a in alphas]
+            assert counts.tolist() == [len(e) for e in expected]
+            for a, e in zip(alphas, expected):
+                assert _labelled(polygonal_order_indices(n, float(a))) == e
+            total += int(counts.sum())
+        return total
+
+    def check_triangle(self, batch, single, reference):
+        pts = triangle_points()
+        counts = batch(pts[:, 0], pts[:, 1])
+        expected = [reference(u, v) for u, v in pts]
+        assert counts.tolist() == [len(e) for e in expected]
+        for (u, v), e in zip(pts, expected):
+            assert _labelled(single(float(u), float(v))) == e
+        return int(counts.sum())
+
+    def test_polygonal(self):
+        assert self.check_polygonal() == 0
+
+    def test_icosahedral(self):
+        assert self.check_triangle(search.icosahedral_chain_violations,
+                                   icosahedral_chain_check, reference_icosa) == 0
+
+    def test_dodecahedral(self):
+        assert self.check_triangle(search.dodecahedral_rank_violations,
+                                   dodecahedral_rank_check, reference_dode) == 0
+
+    def test_wrong_polygonal_table_is_counted(self, monkeypatch):
+        monkeypatch.setattr(search, "polygonal_rank_index", lambda n, k: k)
+        assert self.check_polygonal() > 0
+
+    def test_wrong_icosahedral_table_is_counted(self, monkeypatch):
+        monkeypatch.setattr(search, "_ICOSA_CHAIN", (1, 5, 3, 4, 6, 2))
+        assert self.check_triangle(search.icosahedral_chain_violations,
+                                   icosahedral_chain_check, reference_icosa) > 0
+
+    def test_wrong_dodecahedral_tables_are_counted(self, monkeypatch):
+        monkeypatch.setattr(search, "_DODE_PAIRS", ((5, 1), (9, 5), (2, 6)))
+        total = self.check_triangle(search.dodecahedral_rank_violations,
+                                    dodecahedral_rank_check, reference_dode)
+        assert total > 0
+        monkeypatch.setattr(search, "_DODE_PAIRS", ())
+        monkeypatch.setattr(search, "_DODE_RANK_SETS", {1: (5,), 4: (2, 3), 9: (1,)})
+        assert self.check_triangle(search.dodecahedral_rank_violations,
+                                   dodecahedral_rank_check, reference_dode) > 0
+
+    def test_batch_domain_validation(self):
+        with pytest.raises(InvalidParameterError):
+            search.polygonal_order_violations(5, np.array([0.1, 1.0]))
+        with pytest.raises(InvalidParameterError):
+            search.icosahedral_chain_violations(np.array([0.2, 0.7]),
+                                                np.array([0.2, 0.7]))
+        with pytest.raises(InvalidParameterError):
+            search.dodecahedral_rank_violations(np.array([-0.1]), np.array([0.2]))
 
 
 class TestCandidates:
