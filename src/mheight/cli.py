@@ -375,9 +375,11 @@ def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
-        if (args.command == "verify" and args.suite in _SAMPLED_SUITES
-                and args.samples is not None and args.samples < 1):
-            parser.error(f"--samples must be >= 1 for suite {args.suite}")
+        if args.command == "verify" and args.samples is not None:
+            if args.suite in _SAMPLED_SUITES and args.samples < 1:
+                parser.error(f"--samples must be >= 1 for suite {args.suite}")
+            if args.suite == "cross-check" and args.samples < 0:
+                parser.error("--samples must be >= 0 for suite cross-check")
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return code

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,9 +37,11 @@ CUSTOM = "custom"
 
 _KNOWN_KINDS = (DUAL_POLYGONAL, DUAL_ICOSAHEDRAL, DUAL_DODECAHEDRAL, CUSTOM)
 
-#: Determinant threshold for rank decisions, relative to the product of the
-#: participating column norms.
+#: Determinant threshold for rank decisions on unit-length columns.
 RANK_TOL = 1e-9
+
+#: Array entries per batch of a bounded-memory pass (8 MB of float64).
+CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -252,17 +254,56 @@ def from_columns(columns: Iterable[Sequence[float]]) -> GeneratorMatrix:
     return GeneratorMatrix(np.column_stack(cols), Family(CUSTOM))
 
 
+def power_of_two_scaled(matrix: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(matrix * 2**-e, e)`` with the largest magnitude in ``[1, 2)``.
+
+    Scaling by a power of two is exact in binary floating point, so it
+    changes no ratio and is a no-op for the built-in families.
+    """
+    peak = float(np.max(np.abs(matrix)))
+    if peak == 0.0:
+        return matrix, 0
+    exponent = math.frexp(peak)[1] - 1
+    return np.ldexp(matrix, -exponent), exponent
+
+
+def unit_columns(matrix: np.ndarray) -> np.ndarray:
+    """Columns scaled to unit length; zero columns stay zero."""
+    mat, _ = power_of_two_scaled(matrix)
+    norms = np.linalg.norm(mat, axis=0)
+    return mat / np.where(norms > 0.0, norms, 1.0)
+
+
+def independent_subsets(unit: np.ndarray, subsets: np.ndarray,
+                        rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Mask of the ``k``-column subsets of ``unit`` that are independent.
+
+    ``unit`` holds unit-length columns (:func:`unit_columns`) and each row of
+    ``subsets`` names ``k`` of them.  A subset is independent iff
+    ``|det| > rank_tol``; on unit columns the test is invariant to any
+    column scaling.  Determinants are taken a bounded batch at a time.
+    """
+    k = unit.shape[0]
+    step = max(1, CHUNK_ENTRIES // (k * k))
+    return np.concatenate([
+        np.abs(np.linalg.det(unit.T[subsets[i:i + step]])) > rank_tol
+        for i in range(0, len(subsets), step)])
+
+
+def column_subsets(n: int, r: int) -> np.ndarray:
+    """All ``r``-subsets of ``range(n)`` in ``combinations`` order, ``(C(n, r), r)``."""
+    count = math.comb(n, r)
+    flat = np.fromiter(chain.from_iterable(combinations(range(n), r)),
+                       dtype=np.intp, count=count * r)
+    return flat.reshape(count, r)
+
+
 def is_mds(generator: GeneratorMatrix, rank_tol: float = RANK_TOL) -> bool:
     """True iff every ``k``-subset of columns is linearly independent.
 
-    Independence is decided by ``|det| > rank_tol * prod(column norms)`` so
-    the threshold is invariant to a global rescaling of the matrix.
+    Independence is decided by :func:`independent_subsets` on unit-length
+    columns, so the answer is invariant to any column scaling.
     """
-    mat = generator.matrix
-    k, n = mat.shape
-    norms = generator.column_norms()
-    subsets = np.array(list(combinations(range(n), k)))
-    blocks = mat.T[subsets]            # (num_subsets, k, k); rows are columns of G
-    dets = np.abs(np.linalg.det(blocks))
-    scale = np.prod(norms[subsets], axis=1)
-    return bool(np.all(dets > rank_tol * scale))
+    unit = unit_columns(generator.matrix)
+    subsets = column_subsets(generator.n, generator.k)
+    return bool(np.all(independent_subsets(unit, subsets, rank_tol)))

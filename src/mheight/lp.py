@@ -1,4 +1,4 @@
-"""Exact m-height computation through a family of small linear programs.
+"""Exact m-heights: the configuration-LP family and the vertex-pool engine.
 
 For a generator matrix ``G`` and target ``m``, the code's m-height is the
 maximum over *configurations* of a small LP.  A configuration claims which
@@ -13,23 +13,17 @@ the (m+1)-th magnitude, and the signs of the top-m entries.  Normalizing the
               -1 <= u . g_j <= 1          for j outside X and b
 
 with the sign of coordinate ``b`` fixed to +1 (codewords come in +-c pairs,
-so this loses nothing).  Any unbounded configuration certifies an infinite
-height.
+so this loses nothing); an unbounded configuration certifies an infinite
+height.  :func:`solve_lp` solves one such LP by basic-solution enumeration,
+and ``engine="reference"`` solves the family one LP at a time.
 
-:func:`solve_lp` is a basic-solution enumerator: with all constraint rows of
-the form ``(vector, rhs)``, every vertex of the feasible region solves a
-square subsystem of ``dim`` active rows, and every extreme recession ray is
-the null direction of ``dim - 1`` active rows.  Dimensions here are tiny
-(k <= 3 for the built-in families), so full enumeration is robust and needs
-no pivoting machinery.
-
-:func:`exact_mheight` exploits that all configuration LPs share one global
-vertex pool: any vertex solves ``u . g_j = +-1`` on some ``k`` independent
-columns.  The pool is computed once and each configuration group is reduced
-to feasibility masks over it, which keeps the full enumeration exact while
-making whole profiles cheap.  ``engine="reference"`` instead solves every
-configuration LP one by one through :func:`solve_lp`; both engines agree and
-the test suite cross-checks them.
+Each bounded optimum is a vertex ``u`` with ``u . g_j = +-1`` on ``k``
+independent columns (Roth's configuration-LP view), and each such vertex
+gives a genuine codeword ratio.  So for a full-row-rank ``G`` every finite
+m-height is the largest ``c_(0) / c_(m)`` over one *vertex pool*:
+:func:`exact_profile` sorts ``|pool @ G|`` once and reads every ``m`` from
+it, in time polynomial in ``n`` for fixed ``k``.  Rank-deficient generators
+take the reference engine.
 """
 
 from __future__ import annotations
@@ -41,7 +35,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .codes import GeneratorMatrix, RANK_TOL
+from .codes import (CHUNK_ENTRIES, RANK_TOL, GeneratorMatrix, column_subsets,
+                    independent_subsets, power_of_two_scaled, unit_columns)
 from .errors import CapacityError, InvalidParameterError
 from .heights import ExtendedHeight, MHeightProfile
 
@@ -53,11 +48,13 @@ _TIE_TOL = 1e-12
 _ZERO_ROW = 1e-12
 _MAX_DIM = 8
 _MAX_ROWS = 10_000
-#: Capacity guards: the engines are for small dense problems by design.
-#: The reference engine solves one LP per configuration; the shared engine
-#: walks one candidate mask per coordinate subset.
+#: Capacity guards.  The reference engine solves one LP per configuration;
+#: the pool engine solves one ``k x k`` system per ``k``-subset of columns.
 _MAX_REFERENCE_LPS = 100_000_000
 _MAX_SUBSETS = 2_000_000
+#: Pool rows whose ratio is within this relative distance of the maximum are
+#: kept for the witness choice; it covers the feasibility tolerances.
+_NEAR_TOL = 1e-6
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -370,12 +367,10 @@ def configuration_lp(generator: GeneratorMatrix, config: Configuration) -> LPPro
 
 @dataclass
 class MHeightStats:
-    """Counters exposed for test assertions.
-
-    ``lp_count`` counts configuration LPs per ``(top, max_index, signs)``
-    triple, matching :func:`lp_family_size` when no infinite short-circuit
-    fires.
-    """
+    """Counters exposed for test assertions: the engine that ran
+    (``"shared"`` for the vertex pool, or ``"reference"``), the configuration
+    LPs the reference engine solved (one per ``(top, max_index, signs)``;
+    the pool solves none), and whether an infinite height was returned."""
 
     lp_count: int = 0
     engine: str = ""
@@ -383,123 +378,151 @@ class MHeightStats:
 
 
 # ---------------------------------------------------------------------------
-# Shared-vertex engine
-
-
-@dataclass
-class _SharedTables:
-    candidates: np.ndarray    # (N, k) candidate information vectors
-    abs_code: np.ndarray      # (N, n) magnitudes of their codewords
-    hi: np.ndarray            # (n, N) |c_j| >= 1 - tol_j
-    lo: np.ndarray            # (n, N) |c_j| <= 1 + tol_j
-    one: np.ndarray           # (n, N) |c_j - 1| <= tol_j
-    mds: bool
-    rank: int
-
-
-def _build_tables(generator: GeneratorMatrix) -> _SharedTables:
-    mat = generator.matrix
-    k, n = mat.shape
-    norms = generator.column_norms()
-
-    subsets = np.array(list(combinations(range(n), k)))
-    blocks = mat.T[subsets]                       # (S, k, k)
-    dets = np.abs(np.linalg.det(blocks))
-    scale = np.prod(norms[subsets], axis=1)
-    good = dets > RANK_TOL * scale
-    mds = bool(np.all(good))
-
-    signs = np.array(list(product((-1.0, 1.0), repeat=k)))   # (2^k, k)
-    if good.any():
-        sols = np.linalg.solve(blocks[good], np.broadcast_to(
-            signs.T, (int(good.sum()), k, signs.shape[0])))
-        cands = sols.transpose(0, 2, 1).reshape(-1, k)
-    else:
-        cands = np.empty((0, k))
-
-    code = cands @ mat                            # (N, n)
-    abs_code = np.abs(code)
-    tol = FEAS_TOL * norms                        # row-normalized tolerances
-    hi = (abs_code >= 1.0 - tol).T
-    lo = (abs_code <= 1.0 + tol).T
-    one = (np.abs(code - 1.0) <= tol).T
-
-    rank = int(np.linalg.matrix_rank(mat))
-    return _SharedTables(cands, abs_code, hi, lo, one, mds, rank)
-
-
-def _complement_null_direction(mat: np.ndarray, comp: Sequence[int]) -> np.ndarray | None:
-    """Unit vector orthogonal to the given columns, or None at full rank."""
-    k = mat.shape[0]
-    sub = mat[:, list(comp)]
-    u_svd, svals, _ = np.linalg.svd(sub)
-    smax = float(svals[0]) if svals.size else 0.0
-    rank = int(np.sum(svals > 1e-9 * max(1.0, smax)))
-    if rank >= k:
-        return None
-    direction = u_svd[:, -1]
-    return _canonical_direction(direction)
+# Vertex-pool engine
 
 
 def _canonical_direction(vec: np.ndarray) -> np.ndarray:
-    v = np.asarray(vec, dtype=float)
-    v = v / np.linalg.norm(v)
-    for comp in v:
-        if abs(comp) > 1e-12:
-            if comp < 0:
-                v = -v
-            break
-    return v
+    """Unit vector along ``vec`` whose first entry above 1e-12 is positive."""
+    v = np.asarray(vec, dtype=float) / np.linalg.norm(vec)
+    lead = v[np.abs(v) > 1e-12]
+    return -v if lead.size and lead[0] < 0 else v
 
 
-def _mheight_shared(generator: GeneratorMatrix, m: int, tables: _SharedTables,
-                    stats: MHeightStats) -> ExtendedHeight:
-    mat = generator.matrix
+def _flat_direction(unit: np.ndarray) -> tuple[int, np.ndarray]:
+    """Most zeros of a nonzero codeword of a full-row-rank code, and its ``u``.
+
+    Such a ``u`` is the null direction of ``k - 1`` independent (unit)
+    columns: their generalized cross product, whose dot product with a
+    column is the ``k x k`` determinant :func:`independent_subsets` tests.
+    """
+    k, n = unit.shape
+    subsets = column_subsets(n, k - 1)
+    most, flat = -1, None
+    step = max(1, CHUNK_ENTRIES // (k * n))
+    for start in range(0, len(subsets), step):
+        blocks = unit.T[subsets[start:start + step]]     # (S, k-1, k)
+        cross = np.stack([(-1) ** i * np.linalg.det(np.delete(blocks, i, axis=2))
+                          for i in range(k)], axis=1)
+        cross = cross[np.linalg.norm(cross, axis=1) > RANK_TOL]
+        zeros = (np.abs(cross @ unit) <= RANK_TOL).sum(axis=1)
+        if zeros.size and zeros.max() > most:
+            most, flat = int(zeros.max()), cross[int(np.argmax(zeros))]
+    return most, _canonical_direction(flat)
+
+
+def _first_top_set(code: np.ndarray, tol: np.ndarray, m: int) -> tuple[int, ...] | None:
+    """Lexicographically first ``X`` (``|X| = m``) for which a row is feasible.
+
+    Feasible means the configuration LPs' tests: magnitudes ``>= 1 - tol``
+    on ``X`` and ``<= 1 + tol`` off it, with some entry off ``X`` equal to
+    ``+1``.  A row's first ``X`` holds its magnitudes above ``1 + tol`` and
+    its first near-unit ones; if those take every ``+1`` entry, the last of
+    them gives way to the next near-unit index.
+    """
+    mags = np.abs(code)
+    big = mags > 1.0 + tol
+    mid = (mags >= 1.0 - tol) & ~big
+    one = np.abs(code - 1.0) <= tol
+    room = m - big.sum(axis=1)
+    ok = one.any(axis=1) & (room >= 0) & (room < mid.sum(axis=1))
+    if not ok.any():
+        return None
+    big, mid, one, room = big[ok], mid[ok], one[ok], room[ok, None]
+    rank = np.cumsum(mid, axis=1)
+    top = big | (mid & (rank <= room))
+    full = ~(one & ~top).any(axis=1)
+    rows = np.flatnonzero(full)
+    top[rows, code.shape[1] - 1 - np.argmax(one[rows, ::-1], axis=1)] = False
+    top |= full[:, None] & mid & (rank == room + 1)
+    sets = np.nonzero(top)[1].reshape(-1, m)
+    return tuple(int(j) for j in sets[np.lexsort(sets.T[::-1])[0]])
+
+
+def _pool_heights(mat: np.ndarray, subsets: np.ndarray,
+                  ms: Sequence[int]) -> list[tuple[float, np.ndarray]]:
+    """``(height, witness)`` at each finite ``m`` in ``ms``, by one sorted pass.
+
+    The pool is every ``u`` with ``u . g_j = +-1`` on the ``k``-subsets
+    ``subsets``, in ``combinations`` x ``product`` order, formed and sorted a
+    bounded chunk at a time; rows within ``_NEAR_TOL`` of the running
+    maximum ratio are kept.  The witness is the configuration-LP optimum:
+    the lexicographically first top set ``X`` feasible for a row tied with
+    the maximum, then the first kept row feasible for ``X`` whose largest
+    magnitude on ``X`` is greatest, which is the value.
+    """
     k, n = mat.shape
-    per_group = m * (1 << m)
+    signs = np.array(list(product((-1.0, 1.0), repeat=k)))
+    den = n - 1 - np.asarray(ms)
+    best = np.full(len(ms), -np.inf)
+    kept = []
+    step = max(1, CHUNK_ENTRIES // (len(signs) * n))
+    for start in range(0, len(subsets), step):
+        blocks = mat.T[subsets[start:start + step]]
+        sols = np.linalg.solve(blocks, np.broadcast_to(
+            signs.T, (len(blocks), k, len(signs))))
+        cands = sols.transpose(0, 2, 1).reshape(-1, k)
+        code = cands @ mat
+        mags = np.sort(np.abs(code), axis=1)
+        with np.errstate(divide="ignore"):
+            ratios = mags[:, n - 1:] / mags[:, den]
+        best = np.maximum(best, ratios.max(axis=0))
+        near = (ratios >= best * (1.0 - _NEAR_TOL)).any(axis=1)
+        kept.append((cands[near], code[near], ratios[near]))
+    cands, code, ratios = (np.concatenate(parts) for parts in zip(*kept))
 
-    # Infinite heights come exactly from rank-deficient complements: a
-    # nonzero codeword supported on m coordinates zeroes the (m+1)-th order
-    # statistic, and it exists iff some n-m columns fail to span.
-    if tables.mds:
-        if n - m < k:
-            stats.unbounded_shortcut = True
-            comp = tuple(range(m, n))
-            ray = _complement_null_direction(mat, comp)
-            return ExtendedHeight(math.inf,
-                                  witness=None if ray is None else tuple(ray))
-    else:
-        for top in combinations(range(n), m):
-            comp = [j for j in range(n) if j not in top]
-            ray = _complement_null_direction(mat, comp)
-            if ray is not None:
-                stats.unbounded_shortcut = True
-                return ExtendedHeight(math.inf, witness=tuple(ray))
-
-    hi, lo, one, abs_code = tables.hi, tables.lo, tables.one, tables.abs_code
-    best_val = -math.inf
-    best_cand = -1
-    for top in combinations(range(n), m):
-        top_list = list(top)
-        comp = [j for j in range(n) if j not in top]
-        stats.lp_count += per_group
-        feasible = hi[top_list].all(axis=0) & lo[comp].all(axis=0) & one[comp].any(axis=0)
-        if not feasible.any():
+    tol = FEAS_TOL * np.linalg.norm(mat, axis=0)
+    heights = []
+    for i, m in enumerate(ms):
+        rmax = float(best[i])
+        near = np.flatnonzero(ratios[:, i] >= rmax * (1.0 - _NEAR_TOL))
+        tied = near[ratios[near, i] >= rmax * (1.0 - _TIE_TOL)]
+        top = None if math.isinf(rmax) else _first_top_set(code[tied], tol, m)
+        if top is None:             # no tied row passes the tolerance tests
+            heights.append((rmax, cands[tied[0]]))
             continue
-        idx = np.flatnonzero(feasible)
-        local = abs_code[np.ix_(idx, top_list)].max(axis=1)
-        pos = int(np.argmax(local))
-        if float(local[pos]) > best_val + _TIE_TOL:
-            best_val = float(local[pos])
-            best_cand = int(idx[pos])
+        x, rest = list(top), [j for j in range(n) if j not in top]
+        mags = np.abs(code[near])
+        feasible = near[(mags[:, x] >= 1.0 - tol[x]).all(axis=1)
+                        & (mags[:, rest] <= 1.0 + tol[rest]).all(axis=1)
+                        & (np.abs(code[near][:, rest] - 1.0) <= tol[rest]).any(axis=1)]
+        local = np.abs(code[np.ix_(feasible, x)]).max(axis=1)
+        heights.append((float(local.max()), cands[feasible[int(np.argmax(local))]]))
+    return heights
 
-    if best_cand < 0:
-        # Cannot happen for full-row-rank matrices (every codeword scales
-        # into some configuration); fall back to the reference engine.
-        return _mheight_reference(generator, m, MHeightStats())
 
-    witness = tuple(float(x) for x in tables.candidates[best_cand])
-    return ExtendedHeight(best_val, witness=witness)
+def _mheight_pool(generator: GeneratorMatrix, ms: Sequence[int],
+                  stats: MHeightStats) -> list[ExtendedHeight] | None:
+    """Heights at ``ms`` from the vertex pool, or None for a rank-deficient
+    ``G`` (no independent ``k``-subset).
+
+    ``G`` is rescaled by a power of two (exact) and independence is decided
+    on unit columns, so no decision depends on scale.  Infinite heights
+    start at ``m = n - z``, ``z`` being the most zeros of a nonzero
+    codeword; an MDS code has ``z = k - 1``.
+    """
+    k, n = generator.k, generator.n
+    mat, exponent = power_of_two_scaled(generator.matrix)
+    unit = unit_columns(mat)
+    subsets = column_subsets(n, k)
+    good = independent_subsets(unit, subsets)
+    if not good.any():
+        return None
+    stats.engine = "shared"
+    zeros, flat = (k - 1, None) if good.all() else _flat_direction(unit)
+    finite = [m for m in ms if m < n - zeros]
+    found = dict(zip(finite, _pool_heights(mat, subsets[good], finite) if finite else ()))
+    heights = []
+    for m in ms:
+        if m in found:
+            value, u = found[m]
+            heights.append(ExtendedHeight(value, witness=np.ldexp(u, -exponent)))
+            continue
+        # Columns m .. n-1, fewer than k of them, share a null direction.
+        ray = (_canonical_direction(np.linalg.svd(mat[:, m:])[0][:, -1])
+               if m >= n - k + 1 else flat)
+        stats.unbounded_shortcut = True
+        heights.append(ExtendedHeight(math.inf, witness=tuple(ray)))
+    return heights
 
 
 def _mheight_reference(generator: GeneratorMatrix, m: int,
@@ -543,75 +566,50 @@ def _validate_m(generator: GeneratorMatrix, m: int) -> None:
             f"m must be an integer in [1, {generator.n - 1}], got {m!r}")
 
 
-def _check_capacity(generator: GeneratorMatrix, m: int, engine: str) -> None:
-    if generator.k > _MAX_DIM:
-        raise CapacityError(
-            f"LP dimension {generator.k} exceeds limit {_MAX_DIM}")
-    n = generator.n
-    if engine == "reference":
+def _heights(generator: GeneratorMatrix, ms: Sequence[int], engine: str,
+             stats: MHeightStats | None) -> list[ExtendedHeight]:
+    if engine not in ("auto", "shared", "reference"):
+        raise InvalidParameterError(f"unknown engine {engine!r}")
+    stats = MHeightStats() if stats is None else stats
+    k, n = generator.k, generator.n
+    if k > _MAX_DIM:
+        raise CapacityError(f"LP dimension {k} exceeds limit {_MAX_DIM}")
+    if engine != "reference":
+        if math.comb(n, k) > _MAX_SUBSETS:
+            raise CapacityError(
+                f"vertex pool over the {k}-subsets of n={n} columns is too large")
+        heights = _mheight_pool(generator, ms, stats)
+        if heights is not None:
+            return heights
+        if engine == "shared":
+            raise InvalidParameterError(
+                "shared engine requires a full-row-rank generator")
+    stats.engine = "reference"
+    heights = []
+    for m in ms:
         if lp_family_size(n, m) * (n - m) > _MAX_REFERENCE_LPS:
             raise CapacityError(
                 f"configuration family for n={n}, m={m} is too large "
                 "to solve one LP at a time")
-    elif math.comb(n, m) > _MAX_SUBSETS or math.comb(n, generator.k) > _MAX_SUBSETS:
-        raise CapacityError(
-            f"coordinate-subset enumeration for n={n}, m={m} is too large")
+        heights.append(_mheight_reference(generator, m, stats))
+    return heights
 
 
 def exact_mheight(generator: GeneratorMatrix, m: int, *, engine: str = "auto",
                   stats: MHeightStats | None = None) -> ExtendedHeight:
     """Exact m-height of the code, as the max over all configuration LPs.
 
-    ``engine="auto"`` uses the shared-vertex enumeration (falling back to
-    per-configuration solves for row-rank-deficient matrices, where the
-    shared vertex pool is not exhaustive); ``engine="reference"`` always
-    solves each configuration LP separately.  The witness is a maximizing
-    information vector, or a ray direction (a codeword with a zero (m+1)-th
-    order statistic) when the height is infinite.
+    ``engine="auto"`` reads it from the vertex pool (``"shared"``), or from
+    the reference engine, which solves each configuration LP, when ``G`` is
+    row-rank-deficient.  The witness is a maximizing information vector, or
+    a direction whose codeword has a zero (m+1)-th order statistic.
     """
     _validate_m(generator, m)
-    if stats is None:
-        stats = MHeightStats()
-    if engine not in ("auto", "shared", "reference"):
-        raise InvalidParameterError(f"unknown engine {engine!r}")
-    if engine == "reference":
-        _check_capacity(generator, m, "reference")
-        stats.engine = "reference"
-        return _mheight_reference(generator, m, stats)
-    _check_capacity(generator, m, "shared")
-    tables = _build_tables(generator)
-    if tables.rank < generator.k:
-        if engine == "shared":
-            raise InvalidParameterError(
-                "shared engine requires a full-row-rank generator")
-        _check_capacity(generator, m, "reference")
-        stats.engine = "reference"
-        return _mheight_reference(generator, m, stats)
-    stats.engine = "shared"
-    return _mheight_shared(generator, m, tables, stats)
+    return _heights(generator, [m], engine, stats)[0]
 
 
 def exact_profile(generator: GeneratorMatrix, *, engine: str = "auto",
                   stats: MHeightStats | None = None) -> MHeightProfile:
-    """m-heights for every ``m`` in ``[1, n-1]``."""
-    if engine not in ("auto", "shared", "reference"):
-        raise InvalidParameterError(f"unknown engine {engine!r}")
-    if stats is None:
-        stats = MHeightStats()
-    heights = []
-    if engine in ("auto", "shared"):
-        for m in range(1, generator.n):
-            _check_capacity(generator, m, "shared")
-        tables = _build_tables(generator)
-        if tables.rank == generator.k:
-            stats.engine = "shared"
-            for m in range(1, generator.n):
-                heights.append(_mheight_shared(generator, m, tables, stats))
-            return MHeightProfile(generator.family, tuple(heights))
-        if engine == "shared":
-            raise InvalidParameterError(
-                "shared engine requires a full-row-rank generator")
-    stats.engine = "reference"
-    for m in range(1, generator.n):
-        heights.append(exact_mheight(generator, m, engine="reference", stats=stats))
+    """m-heights for every ``m`` in ``[1, n-1]``, from one pass over the pool."""
+    heights = _heights(generator, range(1, generator.n), engine, stats)
     return MHeightProfile(generator.family, tuple(heights))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -339,6 +339,8 @@ def dodecahedral_candidates() -> tuple[tuple[float, float], ...]:
 
 _FD_STEP = 1e-6
 _FD_ASSERT = 1e-8
+#: Grid points per array pass of a triangle monotonicity check.
+_GRID_CHUNK = 1 << 14
 
 # Expected signs (d/du, d/dv) of the ratio |x.g1| / |x.g_j| on the
 # fundamental triangle; None leaves that partial unasserted.
@@ -406,14 +408,19 @@ def _polygonal_monotonicity(family: Family, m: int, res: int) -> MonotonicityRep
 
 
 def _triangle_grid(res: int, margin: float,
-                   region: Callable[[np.ndarray, np.ndarray], np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
+                   region: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
+                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Interior points of a ``res x res`` grid over the triangle, in row-major
+    order, a bounded number of grid rows (``_GRID_CHUNK`` points) at a time."""
     line = np.linspace(margin, 1.0 - margin, res)
-    uu, vv = np.meshgrid(line, line)
-    uu, vv = uu.ravel(), vv.ravel()
-    keep = uu + vv <= 1.0 - margin
-    if region is not None:
-        keep &= region(uu, vv)
-    return uu[keep], vv[keep]
+    step = max(1, _GRID_CHUNK // res)
+    for start in range(0, res, step):
+        uu, vv = np.meshgrid(line, line[start:start + step])
+        uu, vv = uu.ravel(), vv.ravel()
+        keep = uu + vv <= 1.0 - margin
+        if region is not None:
+            keep &= region(uu, vv)
+        yield uu[keep], vv[keep]
 
 
 def _triangle_monotonicity(family: Family, j: int, res: int) -> MonotonicityReport:
@@ -442,28 +449,32 @@ def _triangle_monotonicity(family: Family, j: int, res: int) -> MonotonicityRepo
 
     su, sv = signs[j]
     col = denom_axis[j] - 1
-    uu, vv = _triangle_grid(res, max(10 * _FD_STEP, 1e-5), region)
+
+    # Row-wise products, not a matrix product, so that a point's value does
+    # not depend on which chunk it falls in.
+    num, den = matrix[:, 0], matrix[:, col]
 
     def ratio(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        pts = domain.points(us, vs) @ matrix
-        return np.abs(pts[:, 0]) / np.abs(pts[:, col])
+        pts = domain.points(us, vs)
+        return np.abs((pts * num).sum(axis=1)) / np.abs((pts * den).sum(axis=1))
 
     h = _FD_STEP
-    du = (ratio(uu + h, vv) - ratio(uu - h, vv)) / (2 * h)
-    dv = (ratio(uu, vv + h) - ratio(uu, vv - h)) / (2 * h)
-
-    violations = []
+    violations: dict[str, list[Violation]] = {"u": [], "v": []}
     asserted = 0
-    for sign, deriv, name in ((su, du, "u"), (sv, dv, "v")):
-        if sign is None:
-            continue
-        check = np.abs(deriv) > _FD_ASSERT
-        asserted += int(check.sum())
-        for i in np.flatnonzero(check & (sign * deriv < 0)):
-            violations.append(Violation(
-                f"sign(d/d{name}) at (u,v)=({uu[i]:.9g},{vv[i]:.9g})",
-                float(abs(deriv[i]))))
-    return MonotonicityReport(family, j, (su, sv), asserted, tuple(violations))
+    for uu, vv in _triangle_grid(res, max(10 * _FD_STEP, 1e-5), region):
+        du = (ratio(uu + h, vv) - ratio(uu - h, vv)) / (2 * h)
+        dv = (ratio(uu, vv + h) - ratio(uu, vv - h)) / (2 * h)
+        for sign, deriv, name in ((su, du, "u"), (sv, dv, "v")):
+            if sign is None:
+                continue
+            check = np.abs(deriv) > _FD_ASSERT
+            asserted += int(check.sum())
+            for i in np.flatnonzero(check & (sign * deriv < 0)):
+                violations[name].append(Violation(
+                    f"sign(d/d{name}) at (u,v)=({uu[i]:.9g},{vv[i]:.9g})",
+                    float(abs(deriv[i]))))
+    return MonotonicityReport(family, j, (su, sv), asserted,
+                              (*violations["u"], *violations["v"]))
 
 
 def monotonicity_check(family: Family, j: int, grid_resolution: int) -> MonotonicityReport:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +154,20 @@ class TestSampledSuites:
         assert captured.out == ""
         assert "--samples must be >= 1" in captured.err
 
+    @pytest.mark.parametrize("samples", ["-1", "-5"])
+    def test_cross_check_negative_samples_is_usage_error(self, capsys, samples):
+        code = run(["verify", "--suite", "cross-check", "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--samples must be >= 0" in captured.err
+
+    def test_cross_check_zero_samples_stays_valid(self, capsys):
+        code, out = invoke(capsys, "verify", "--suite", "cross-check", "--samples", "0")
+        doc = json.loads(out)
+        assert code == 0 and doc["passed"] is True
+        assert all("sample_dominated" not in c for c in doc["checks"])
+
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_chunked_draws_match_scalar_draws(self, monkeypatch, seed):
         monkeypatch.setattr(cli, "_CHUNK", 64)
@@ -195,6 +210,20 @@ class TestSampledSuites:
         assert code == 1 and doc["passed"] is False
         assert [c["violations"] for c in doc["checks"]] == expected
         assert sum(expected) > 0
+
+
+GOLDEN_LP = json.loads((Path(__file__).parent / "data" / "cli_lp_golden.json").read_text())
+
+
+class TestLpGolden:
+    """``height``/``profile --method lp`` stdout, byte for byte, as recorded
+    from the per-top-set engine the vertex pool replaced."""
+
+    @pytest.mark.parametrize("case", GOLDEN_LP, ids=lambda c: " ".join(c["argv"]))
+    def test_stdout_is_byte_identical(self, capsys, case):
+        code, out = invoke(capsys, *case["argv"])
+        assert code == 0
+        assert out == case["stdout"]
 
 
 class TestDeterminism:

@@ -22,8 +22,11 @@ from mheight import (
     from_columns,
     iter_configurations,
     lp_family_size,
+    polygonal_height,
     solve_lp,
 )
+import mheight.lp as lp_module
+from mheight import encode, is_mds
 from mheight.codes import Family
 from mheight.lp import FEAS_TOL, OPTIMAL, UNBOUNDED, INFEASIBLE
 
@@ -215,12 +218,13 @@ class TestExactMHeight:
         assert c.order_stats[8] == pytest.approx(0.0, abs=1e-9)
         assert c.order_stats[0] > 0.1
 
-    def test_lp_count_matches_family_size(self):
+    def test_pool_engine_solves_no_lp(self):
         for g, m in ((dual_polygonal(5), 2), (dual_polygonal(6), 3),
                      (dual_icosahedral(), 2)):
             stats = MHeightStats()
             exact_mheight(g, m, stats=stats)
-            assert stats.lp_count == lp_family_size(g.n, m)
+            assert stats.engine == "shared"
+            assert stats.lp_count == 0
 
     def test_reference_engine_counts_identically(self):
         stats = MHeightStats()
@@ -260,11 +264,18 @@ class TestExactMHeight:
             exact_mheight(g, 1)
 
     def test_subset_capacity_guard(self):
-        g = dual_polygonal(60)
         with pytest.raises(CapacityError):
-            exact_mheight(g, 30)
-        with pytest.raises(CapacityError):
-            exact_mheight(g, 30, engine="reference")
+            exact_mheight(dual_polygonal(60), 30, engine="reference")
+        rng = np.random.default_rng(0)
+        g = from_columns(rng.normal(size=(40, 8)))      # C(40, 8) k-subsets
+        with pytest.raises(CapacityError, match="vertex pool"):
+            exact_mheight(g, 1)
+        with pytest.raises(CapacityError, match="vertex pool"):
+            exact_profile(g)
+
+    def test_auto_engine_reaches_long_polygonal_codes(self):
+        h = exact_mheight(dual_polygonal(60), 30)
+        assert h.value == pytest.approx(polygonal_height(60, 30).value, rel=1e-9)
 
 
 class TestExactProfile:
@@ -331,6 +342,60 @@ class TestExactProfile:
                 assert c.infinite == e.infinite
                 if not c.infinite:
                     assert e.value == pytest.approx(c.value, rel=1e-6)
+
+
+class TestVertexPool:
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    @pytest.mark.parametrize("make", [dual_icosahedral, dual_dodecahedral,
+                                      lambda: dual_polygonal(9)])
+    def test_builtins_scaled_by_ten_to_150(self, make, scale):
+        g = make()
+        scaled = from_columns((g.matrix * scale).T)
+        assert is_mds(scaled)
+        base, other = exact_profile(g), exact_profile(scaled)
+        for m in range(1, g.n):
+            hb, ho = base.height(m), other.height(m)
+            assert hb.infinite == ho.infinite, m
+            if not hb.infinite:
+                assert ho.value == pytest.approx(hb.value, rel=1e-12)
+                # The witness is a vertex of the scaled code itself: its
+                # codeword's (m+1)-th magnitude is 1.
+                word = encode(scaled, ho.witness)
+                assert word.height(m) == pytest.approx(ho.value, rel=1e-12)
+                assert word.order_stats[m] == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-6, 1.0, 1e150])
+    def test_duplicated_column_is_not_mds(self, scale):
+        cols = np.vstack([dual_dodecahedral().columns, dual_dodecahedral().columns[:1]])
+        assert not is_mds(from_columns(cols * scale))
+
+    def test_chunked_pass_matches_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        g = from_columns(rng.normal(size=(12, 3)))
+        whole = exact_profile(g)
+        monkeypatch.setattr(lp_module, "CHUNK_ENTRIES", 100)    # 1 subset per chunk
+        chunked = exact_profile(g)
+        for a, b in zip(whole.heights, chunked.heights):
+            assert a.infinite == b.infinite
+            if not a.infinite:
+                assert b.value == pytest.approx(a.value, rel=1e-12)
+                assert b.witness == pytest.approx(a.witness, rel=1e-12)
+
+    def test_non_mds_infinite_heights_start_at_most_zeros(self):
+        # Columns 0, 3 and 5 lie in one plane, so a codeword vanishes on
+        # them: the height is infinite from m = n - 3, one below an MDS code.
+        rng = np.random.default_rng(9)
+        cols = rng.normal(size=(6, 3))
+        cols[3] = 2.0 * cols[0] - cols[5]
+        g = from_columns(cols)
+        prof = exact_profile(g)
+        assert [h.infinite for h in prof.heights] == [False, False, True, True, True]
+        for m in range(3, 6):
+            stats = encode(g, prof.height(m).witness).order_stats
+            assert stats[0] > 0.1 and stats[m] == pytest.approx(0.0, abs=1e-12)
+        for m in (1, 2):
+            ref = exact_mheight(g, m, engine="reference")
+            assert prof.height(m).value == pytest.approx(ref.value, rel=1e-9)
 
 
 class TestInvarianceProperties:

@@ -332,6 +332,25 @@ class TestMonotonicity:
         assert monotonicity_check(Family(DUAL_DODECAHEDRAL), 5, 10).expected == (1, -1)
         assert monotonicity_check(Family(DUAL_POLYGONAL, 6), 2, 10).expected == (1,)
 
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_chunked_grid_matches_one_pass(self, monkeypatch, flip):
+        # Flipped sign tables make every ratio report violations, so the
+        # chunked report must keep their labels and their order.
+        if flip:
+            for table in ("_ICOSA_SIGNS", "_DODE_SIGNS"):
+                monkeypatch.setattr(search, table, {
+                    j: tuple(None if s is None else -s for s in signs)
+                    for j, signs in getattr(search, table).items()})
+        cases = [(Family(DUAL_ICOSAHEDRAL), j) for j in (1, 2, 3)]
+        cases += [(Family(DUAL_DODECAHEDRAL), j) for j in (2, 4, 5, 6, 7, 8, 9, 10)]
+        monkeypatch.setattr(search, "_GRID_CHUNK", 10**9)
+        whole = [monotonicity_check(fam, j, 40) for fam, j in cases]
+        monkeypatch.setattr(search, "_GRID_CHUNK", 7)
+        chunked = [monotonicity_check(fam, j, 40) for fam, j in cases]
+        assert chunked == whole
+        assert all(r.asserted > 0 for r in whole)
+        assert any(r.violations for r in whole) == flip
+
     def test_invalid_ratio_index(self):
         with pytest.raises(InvalidParameterError):
             monotonicity_check(Family(DUAL_DODECAHEDRAL), 1, 10)
