@@ -44,7 +44,6 @@ from .lp import (
     Configuration,
     LPProblem,
     LPResult,
-    MHeightStats,
     configuration_lp,
     exact_mheight,
     exact_profile,
@@ -77,7 +76,7 @@ __all__ = [
     "Configuration", "CUSTOM", "DUAL_DODECAHEDRAL", "DUAL_ICOSAHEDRAL",
     "DUAL_POLYGONAL", "ExtendedHeight", "Family", "GeneratorMatrix",
     "InvalidParameterError", "LPProblem", "LPResult", "MHeightError",
-    "MHeightProfile", "MHeightStats", "MonotonicityReport",
+    "MHeightProfile", "MonotonicityReport",
     "NoFiniteRatioError", "PHI", "RankReport", "TriangleDomain",
     "UnsupportedFamilyError", "Violation", "check_spec", "closed_profile",
     "configuration_lp", "dodecahedral_candidates", "dodecahedral_domain",

@@ -72,7 +72,7 @@ def feasible_pairs(profile: MHeightProfile, ratio: float) -> list[tuple[int, int
             height = profile.height(2 * tau + sigma)
             if height.infinite:
                 continue
-            if 2.0 * (height.value + 1.0) <= ratio:
+            if required_ratio(height) <= ratio:
                 pairs.append((tau, sigma))
     return pairs
 
@@ -86,4 +86,4 @@ def check_spec(profile: MHeightProfile, spec: CapabilitySpec) -> bool:
     height = profile.height(order)
     if height.infinite:
         return False
-    return spec.ratio >= 2.0 * (height.value + 1.0)
+    return spec.ratio >= required_ratio(height)

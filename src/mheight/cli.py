@@ -18,7 +18,7 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from . import closed_form, search
-from .capability import CapabilitySpec, check_spec, feasible_pairs
+from .capability import CapabilitySpec, check_spec, feasible_pairs, required_ratio
 from .codes import (
     DUAL_DODECAHEDRAL,
     DUAL_ICOSAHEDRAL,
@@ -104,13 +104,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_height(args: argparse.Namespace) -> int:
     generator = _build_generator(args)
     if args.method == "closed":
-        family = generator.family
-        if family.kind == DUAL_POLYGONAL:
-            height = closed_form.polygonal_height(family.n, args.m)
-        elif family.kind == DUAL_ICOSAHEDRAL:
-            height = closed_form.icosahedral_height(args.m)
-        else:
-            height = closed_form.dodecahedral_height(args.m)
+        height = closed_form.closed_profile(generator.family).height(args.m)
     elif args.method == "lp":
         height = exact_mheight(generator, args.m)
     else:
@@ -164,8 +158,7 @@ def cmd_capability(args: argparse.Namespace) -> int:
             "tau": spec.tau, "sigma": spec.sigma,
             "delta": spec.delta, "Delta": spec.Delta,
             "ratio": spec.ratio,
-            "required_ratio": ("inf" if height.infinite
-                               else 2.0 * (height.value + 1.0)),
+            "required_ratio": "inf" if height.infinite else required_ratio(height),
             "feasible": feasible,
         }
     else:
@@ -217,27 +210,16 @@ def _suite_triangle_ranks(kind: str, samples: int, rng: np.random.Generator) -> 
 
 
 def _suite_monotonicity(resolution: int) -> list[dict]:
+    cases = [(Family(DUAL_POLYGONAL, n), f"polygonal-n{n}-m{m}", m)
+             for n in _POLYGONAL_NS for m in range(1, n - 1)]
+    cases += [(Family(DUAL_ICOSAHEDRAL), f"icosahedral-f{j}", j) for j in (1, 2, 3)]
+    cases += [(Family(DUAL_DODECAHEDRAL), f"dodecahedral-f{j}", j)
+              for j in (2, 4, 5, 6, 7, 8, 9, 10)]
     checks = []
-    for n in _POLYGONAL_NS:
-        family = Family(DUAL_POLYGONAL, n)
-        for m in range(1, n - 1):
-            report = search.monotonicity_check(family, m, resolution)
-            checks.append({"name": f"monotonic-polygonal-n{n}-m{m}",
-                           "asserted": report.asserted,
-                           "violations": len(report.violations),
-                           "passed": report.ok})
-    for j in (1, 2, 3):
-        report = search.monotonicity_check(Family(DUAL_ICOSAHEDRAL), j, resolution)
-        checks.append({"name": f"monotonic-icosahedral-f{j}",
-                       "asserted": report.asserted,
-                       "violations": len(report.violations),
-                       "passed": report.ok})
-    for j in (2, 4, 5, 6, 7, 8, 9, 10):
-        report = search.monotonicity_check(Family(DUAL_DODECAHEDRAL), j, resolution)
-        checks.append({"name": f"monotonic-dodecahedral-f{j}",
-                       "asserted": report.asserted,
-                       "violations": len(report.violations),
-                       "passed": report.ok})
+    for family, name, j in cases:
+        report = search.monotonicity_check(family, j, resolution)
+        checks.append({"name": f"monotonic-{name}", "asserted": report.asserted,
+                       "violations": len(report.violations), "passed": report.ok})
     return checks
 
 

@@ -21,6 +21,7 @@ from .codes import (
     DUAL_POLYGONAL,
     PHI,
     Family,
+    canonical_direction,
     dual_dodecahedral,
     dual_icosahedral,
     encode,
@@ -119,11 +120,8 @@ def dodecahedral_height(m: int) -> ExtendedHeight:
         return ExtendedHeight(_DODE_VALUES[2], witness=tuple((g[0] + g[4]) / 2.0))
     if m <= 7:
         return ExtendedHeight(_DODE_VALUES[m], witness=_dode_candidate_argmax(m))
-    ray = np.cross(g[0], g[1])
-    ray = ray / np.linalg.norm(ray)
-    if ray[np.flatnonzero(np.abs(ray) > 1e-12)[0]] < 0:
-        ray = -ray
-    return ExtendedHeight(math.inf, witness=tuple(float(c) for c in ray))
+    ray = canonical_direction(np.cross(g[0], g[1]))
+    return ExtendedHeight(math.inf, witness=tuple(ray))
 
 
 def closed_profile(family: Family) -> MHeightProfile:

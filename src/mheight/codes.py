@@ -135,14 +135,26 @@ class GeneratorMatrix:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GeneratorMatrix":
+        """Inverse of :meth:`to_json_dict`.  ``k`` and ``n``, when present,
+        must match the columns, and a built-in family tag its shape."""
         try:
             kind = doc["family"]
-            cols = doc["columns"]
-        except (KeyError, TypeError) as exc:
+            mat = np.array(doc["columns"], dtype=float).T
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidParameterError(f"malformed matrix document: {exc}")
-        n = doc.get("n", len(cols))
+        if mat.ndim != 2:
+            raise InvalidParameterError("generator matrix must be 2-D")
+        k, n = mat.shape
+        for key, size in (("k", k), ("n", n)):
+            if key in doc and doc[key] != size:
+                raise InvalidParameterError(
+                    f"{key}={doc[key]!r} disagrees with the {k} x {n} columns")
         family = Family(kind, n if kind == DUAL_POLYGONAL else None)
-        mat = np.array(cols, dtype=float).T
+        shape = {DUAL_POLYGONAL: (2, n), DUAL_ICOSAHEDRAL: (3, 6),
+                 DUAL_DODECAHEDRAL: (3, 10)}.get(family.kind, (k, n))
+        if shape != (k, n):
+            raise InvalidParameterError(
+                f"a {family.kind} generator is {shape[0]} x {shape[1]}, got {k} x {n}")
         return cls(mat, family)
 
     def __repr__(self) -> str:
@@ -272,6 +284,13 @@ def unit_columns(matrix: np.ndarray) -> np.ndarray:
     mat, _ = power_of_two_scaled(matrix)
     norms = np.linalg.norm(mat, axis=0)
     return mat / np.where(norms > 0.0, norms, 1.0)
+
+
+def canonical_direction(vec: np.ndarray) -> np.ndarray:
+    """Unit vector along ``vec`` whose first entry above 1e-12 is positive."""
+    v = np.asarray(vec, dtype=float) / np.linalg.norm(vec)
+    lead = v[np.abs(v) > 1e-12]
+    return -v if lead.size and lead[0] < 0 else v
 
 
 def independent_subsets(unit: np.ndarray, subsets: np.ndarray,

@@ -102,9 +102,6 @@ class MHeightProfile:
                 f"m must be in [1, {len(self.heights)}], got {m}")
         return self.heights[m - 1]
 
-    def as_dict(self) -> dict[int, ExtendedHeight]:
-        return {m: h for m, h in enumerate(self.heights, start=1)}
-
     def values(self) -> tuple[float, ...]:
         return tuple(h.value for h in self.heights)
 

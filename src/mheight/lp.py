@@ -14,16 +14,17 @@ the (m+1)-th magnitude, and the signs of the top-m entries.  Normalizing the
 
 with the sign of coordinate ``b`` fixed to +1 (codewords come in +-c pairs,
 so this loses nothing); an unbounded configuration certifies an infinite
-height.  :func:`solve_lp` solves one such LP by basic-solution enumeration,
-and ``engine="reference"`` solves the family one LP at a time.
+height.  :func:`solve_lp` solves one such LP by basic-solution enumeration.
 
 Each bounded optimum is a vertex ``u`` with ``u . g_j = +-1`` on ``k``
 independent columns (Roth's configuration-LP view), and each such vertex
 gives a genuine codeword ratio.  So for a full-row-rank ``G`` every finite
 m-height is the largest ``c_(0) / c_(m)`` over one *vertex pool*:
 :func:`exact_profile` sorts ``|pool @ G|`` once and reads every ``m`` from
-it, in time polynomial in ``n`` for fixed ``k``.  Rank-deficient generators
-take the reference engine.
+it, in time polynomial in ``n`` for fixed ``k``.  A rank-deficient generator
+(no independent ``k``-subset) has no pool: only then are its heights solved
+one configuration LP at a time, by the reference engine that is also the
+tests' oracle.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .codes import (CHUNK_ENTRIES, RANK_TOL, GeneratorMatrix, column_subsets,
-                    independent_subsets, power_of_two_scaled, unit_columns)
+from .codes import (CHUNK_ENTRIES, RANK_TOL, GeneratorMatrix, canonical_direction,
+                    column_subsets, independent_subsets, power_of_two_scaled,
+                    unit_columns)
 from .errors import CapacityError, InvalidParameterError
 from .heights import ExtendedHeight, MHeightProfile
 
@@ -365,27 +367,8 @@ def configuration_lp(generator: GeneratorMatrix, config: Configuration) -> LPPro
     return LPProblem(objective, eq, tuple(ineq))
 
 
-@dataclass
-class MHeightStats:
-    """Counters exposed for test assertions: the engine that ran
-    (``"shared"`` for the vertex pool, or ``"reference"``), the configuration
-    LPs the reference engine solved (one per ``(top, max_index, signs)``;
-    the pool solves none), and whether an infinite height was returned."""
-
-    lp_count: int = 0
-    engine: str = ""
-    unbounded_shortcut: bool = False
-
-
 # ---------------------------------------------------------------------------
 # Vertex-pool engine
-
-
-def _canonical_direction(vec: np.ndarray) -> np.ndarray:
-    """Unit vector along ``vec`` whose first entry above 1e-12 is positive."""
-    v = np.asarray(vec, dtype=float) / np.linalg.norm(vec)
-    lead = v[np.abs(v) > 1e-12]
-    return -v if lead.size and lead[0] < 0 else v
 
 
 def _flat_direction(unit: np.ndarray) -> tuple[int, np.ndarray]:
@@ -407,7 +390,7 @@ def _flat_direction(unit: np.ndarray) -> tuple[int, np.ndarray]:
         zeros = (np.abs(cross @ unit) <= RANK_TOL).sum(axis=1)
         if zeros.size and zeros.max() > most:
             most, flat = int(zeros.max()), cross[int(np.argmax(zeros))]
-    return most, _canonical_direction(flat)
+    return most, canonical_direction(flat)
 
 
 def _first_top_set(code: np.ndarray, tol: np.ndarray, m: int) -> tuple[int, ...] | None:
@@ -490,8 +473,8 @@ def _pool_heights(mat: np.ndarray, subsets: np.ndarray,
     return heights
 
 
-def _mheight_pool(generator: GeneratorMatrix, ms: Sequence[int],
-                  stats: MHeightStats) -> list[ExtendedHeight] | None:
+def _mheight_pool(generator: GeneratorMatrix,
+                  ms: Sequence[int]) -> list[ExtendedHeight] | None:
     """Heights at ``ms`` from the vertex pool, or None for a rank-deficient
     ``G`` (no independent ``k``-subset).
 
@@ -507,7 +490,6 @@ def _mheight_pool(generator: GeneratorMatrix, ms: Sequence[int],
     good = independent_subsets(unit, subsets)
     if not good.any():
         return None
-    stats.engine = "shared"
     zeros, flat = (k - 1, None) if good.all() else _flat_direction(unit)
     finite = [m for m in ms if m < n - zeros]
     found = dict(zip(finite, _pool_heights(mat, subsets[good], finite) if finite else ()))
@@ -518,35 +500,29 @@ def _mheight_pool(generator: GeneratorMatrix, ms: Sequence[int],
             heights.append(ExtendedHeight(value, witness=np.ldexp(u, -exponent)))
             continue
         # Columns m .. n-1, fewer than k of them, share a null direction.
-        ray = (_canonical_direction(np.linalg.svd(mat[:, m:])[0][:, -1])
+        ray = (canonical_direction(np.linalg.svd(mat[:, m:])[0][:, -1])
                if m >= n - k + 1 else flat)
-        stats.unbounded_shortcut = True
         heights.append(ExtendedHeight(math.inf, witness=tuple(ray)))
     return heights
 
 
-def _mheight_reference(generator: GeneratorMatrix, m: int,
-                       stats: MHeightStats) -> ExtendedHeight:
+def _mheight_reference(generator: GeneratorMatrix, m: int) -> ExtendedHeight:
     """Literal per-configuration solve through :func:`solve_lp`."""
     n = generator.n
+    if lp_family_size(n, m) * (n - m) > _MAX_REFERENCE_LPS:
+        raise CapacityError(
+            f"configuration family for n={n}, m={m} is too large "
+            "to solve one LP at a time")
     best_val = -math.inf
     best_point: tuple[float, ...] | None = None
-    indices = range(n)
-    for top in combinations(indices, m):
-        rest = [j for j in indices if j not in top]
-        for signs in product((1.0, -1.0), repeat=m):
-            for a in top:
-                stats.lp_count += 1
-                for b in rest:
-                    result = solve_lp(configuration_lp(
-                        generator, Configuration(top, a, b, signs)))
-                    if result.status == UNBOUNDED:
-                        stats.unbounded_shortcut = True
-                        ray = _canonical_direction(np.array(result.ray))
-                        return ExtendedHeight(math.inf, witness=tuple(ray))
-                    if result.status == OPTIMAL and result.value > best_val + _TIE_TOL:
-                        best_val = result.value
-                        best_point = result.point
+    for config in iter_configurations(n, m):
+        result = solve_lp(configuration_lp(generator, config))
+        if result.status == UNBOUNDED:
+            ray = canonical_direction(np.array(result.ray))
+            return ExtendedHeight(math.inf, witness=tuple(ray))
+        if result.status == OPTIMAL and result.value > best_val + _TIE_TOL:
+            best_val = result.value
+            best_point = result.point
     if best_point is None:
         # Any codeword with m+1 nonzero entries scales into some feasible
         # configuration, so every nonzero codeword has at most m of them:
@@ -556,7 +532,7 @@ def _mheight_reference(generator: GeneratorMatrix, m: int,
         if not cols[j].any():
             raise InvalidParameterError(
                 "no configuration is feasible; the generator has no nonzero codeword")
-        return ExtendedHeight(math.inf, witness=tuple(_canonical_direction(cols[j])))
+        return ExtendedHeight(math.inf, witness=tuple(canonical_direction(cols[j])))
     return ExtendedHeight(best_val, witness=best_point)
 
 
@@ -566,50 +542,32 @@ def _validate_m(generator: GeneratorMatrix, m: int) -> None:
             f"m must be an integer in [1, {generator.n - 1}], got {m!r}")
 
 
-def _heights(generator: GeneratorMatrix, ms: Sequence[int], engine: str,
-             stats: MHeightStats | None) -> list[ExtendedHeight]:
-    if engine not in ("auto", "shared", "reference"):
-        raise InvalidParameterError(f"unknown engine {engine!r}")
-    stats = MHeightStats() if stats is None else stats
+def _heights(generator: GeneratorMatrix, ms: Sequence[int]) -> list[ExtendedHeight]:
     k, n = generator.k, generator.n
     if k > _MAX_DIM:
         raise CapacityError(f"LP dimension {k} exceeds limit {_MAX_DIM}")
-    if engine != "reference":
-        if math.comb(n, k) > _MAX_SUBSETS:
-            raise CapacityError(
-                f"vertex pool over the {k}-subsets of n={n} columns is too large")
-        heights = _mheight_pool(generator, ms, stats)
-        if heights is not None:
-            return heights
-        if engine == "shared":
-            raise InvalidParameterError(
-                "shared engine requires a full-row-rank generator")
-    stats.engine = "reference"
-    heights = []
-    for m in ms:
-        if lp_family_size(n, m) * (n - m) > _MAX_REFERENCE_LPS:
-            raise CapacityError(
-                f"configuration family for n={n}, m={m} is too large "
-                "to solve one LP at a time")
-        heights.append(_mheight_reference(generator, m, stats))
+    if math.comb(n, k) > _MAX_SUBSETS:
+        raise CapacityError(
+            f"vertex pool over the {k}-subsets of n={n} columns is too large")
+    heights = _mheight_pool(generator, ms)
+    if heights is None:
+        heights = [_mheight_reference(generator, m) for m in ms]
     return heights
 
 
-def exact_mheight(generator: GeneratorMatrix, m: int, *, engine: str = "auto",
-                  stats: MHeightStats | None = None) -> ExtendedHeight:
+def exact_mheight(generator: GeneratorMatrix, m: int) -> ExtendedHeight:
     """Exact m-height of the code, as the max over all configuration LPs.
 
-    ``engine="auto"`` reads it from the vertex pool (``"shared"``), or from
-    the reference engine, which solves each configuration LP, when ``G`` is
-    row-rank-deficient.  The witness is a maximizing information vector, or
-    a direction whose codeword has a zero (m+1)-th order statistic.
+    It is read from the vertex pool; only a rank-deficient ``G`` (no
+    independent ``k``-subset) takes the reference engine, which solves each
+    configuration LP.  The witness is a maximizing information vector, or a
+    direction whose codeword has a zero (m+1)-th order statistic.
     """
     _validate_m(generator, m)
-    return _heights(generator, [m], engine, stats)[0]
+    return _heights(generator, [m])[0]
 
 
-def exact_profile(generator: GeneratorMatrix, *, engine: str = "auto",
-                  stats: MHeightStats | None = None) -> MHeightProfile:
+def exact_profile(generator: GeneratorMatrix) -> MHeightProfile:
     """m-heights for every ``m`` in ``[1, n-1]``, from one pass over the pool."""
-    heights = _heights(generator, range(1, generator.n), engine, stats)
+    heights = _heights(generator, range(1, generator.n))
     return MHeightProfile(generator.family, tuple(heights))

@@ -212,17 +212,23 @@ class TestSampledSuites:
         assert sum(expected) > 0
 
 
-GOLDEN_LP = json.loads((Path(__file__).parent / "data" / "cli_lp_golden.json").read_text())
+_DATA = Path(__file__).parent / "data"
+GOLDEN_LP = json.loads((_DATA / "cli_lp_golden.json").read_text())
+GOLDEN_CLI = json.loads((_DATA / "cli_golden.json").read_text())
 
 
 class TestLpGolden:
-    """``height``/``profile --method lp`` stdout, byte for byte, as recorded
-    from the per-top-set engine the vertex pool replaced."""
+    """Stdout and exit code, byte for byte.  ``cli_lp_golden.json`` holds
+    ``height``/``profile --method lp`` as recorded from the per-top-set
+    engine the vertex pool replaced; ``cli_golden.json`` holds closed-form
+    heights (in and out of range) and profiles, both ``capability`` modes,
+    every ``verify`` suite and the README examples."""
 
-    @pytest.mark.parametrize("case", GOLDEN_LP, ids=lambda c: " ".join(c["argv"]))
+    @pytest.mark.parametrize("case", GOLDEN_LP + GOLDEN_CLI,
+                             ids=lambda c: " ".join(c["argv"]))
     def test_stdout_is_byte_identical(self, capsys, case):
         code, out = invoke(capsys, *case["argv"])
-        assert code == 0
+        assert code == case.get("exit", 0)
         assert out == case["stdout"]
 
 

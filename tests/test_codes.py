@@ -194,3 +194,23 @@ class TestGeneratorMatrix:
             back = GeneratorMatrix.from_json_dict(doc)
             np.testing.assert_array_equal(back.matrix, g.matrix)
             assert back.family == g.family
+
+    @pytest.mark.parametrize("doc", [
+        {"family": "custom", "columns": [["a", 1], [0, 1]]},
+        {"family": "custom", "columns": [[1, 0], [0, 1, 2]]},
+        {"family": "custom", "columns": [[1, None], [0, 1]]},
+        {"family": "custom", "columns": [1, 0]},
+        {"family": "custom", "columns": [[[1, 0]], [[0, 1]]]},
+        {"columns": [[1, 0], [0, 1]]},
+        {"family": "custom", "k": 3, "columns": [[1, 0], [0, 1]]},
+        {"family": "custom", "n": 3, "columns": [[1, 0], [0, 1]]},
+        {"family": "dual-polygonal", "n": 5, "columns": [[1, 0], [0, 1]]},
+        {"family": "dual-polygonal", "columns": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+        {"family": "dual-icosahedral", "columns": dual_dodecahedral().columns.tolist()},
+        {"family": "dual-dodecahedral", "columns": dual_icosahedral().columns.tolist()},
+        {"family": "dual-icosahedral", "columns": [[1, 0], [0, 1], [1, 1], [1, -1],
+                                                   [2, 1], [1, 2]]},
+    ])
+    def test_json_bad_document_is_invalid_parameter(self, doc):
+        with pytest.raises(InvalidParameterError):
+            GeneratorMatrix.from_json_dict(doc)

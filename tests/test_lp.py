@@ -11,7 +11,6 @@ from mheight import (
     GeneratorMatrix,
     InvalidParameterError,
     LPProblem,
-    MHeightStats,
     closed_profile,
     configuration_lp,
     dual_dodecahedral,
@@ -218,24 +217,20 @@ class TestExactMHeight:
         assert c.order_stats[8] == pytest.approx(0.0, abs=1e-9)
         assert c.order_stats[0] > 0.1
 
-    def test_pool_engine_solves_no_lp(self):
+    def test_pool_engine_solves_no_lp(self, monkeypatch):
+        def no_reference(*args):
+            raise AssertionError("full-rank code reached the reference engine")
+        monkeypatch.setattr(lp_module, "_mheight_reference", no_reference)
         for g, m in ((dual_polygonal(5), 2), (dual_polygonal(6), 3),
                      (dual_icosahedral(), 2)):
-            stats = MHeightStats()
-            exact_mheight(g, m, stats=stats)
-            assert stats.engine == "shared"
-            assert stats.lp_count == 0
-
-    def test_reference_engine_counts_identically(self):
-        stats = MHeightStats()
-        exact_mheight(dual_polygonal(5), 2, engine="reference", stats=stats)
-        assert stats.lp_count == lp_family_size(5, 2)
+            assert exact_mheight(g, m).value >= 1.0
+            assert len(exact_profile(g).heights) == g.n - 1
 
     @pytest.mark.parametrize("n,m", [(3, 1), (4, 1), (4, 2), (5, 2), (5, 3)])
     def test_engines_agree_polygonal(self, n, m):
         g = dual_polygonal(n)
-        a = exact_mheight(g, m, engine="shared")
-        b = exact_mheight(g, m, engine="reference")
+        a = exact_mheight(g, m)
+        b = lp_module._mheight_reference(g, m)
         assert a.infinite == b.infinite
         if not a.infinite:
             assert a.value == pytest.approx(b.value, rel=1e-9)
@@ -243,19 +238,15 @@ class TestExactMHeight:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_engines_agree_icosahedral(self, m):
         g = dual_icosahedral()
-        a = exact_mheight(g, m, engine="shared")
-        b = exact_mheight(g, m, engine="reference")
+        a = exact_mheight(g, m)
+        b = lp_module._mheight_reference(g, m)
         assert a.value == pytest.approx(b.value, rel=1e-9)
 
     def test_engines_agree_dodecahedral_m1(self):
         g = dual_dodecahedral()
-        a = exact_mheight(g, 1, engine="shared")
-        b = exact_mheight(g, 1, engine="reference")
+        a = exact_mheight(g, 1)
+        b = lp_module._mheight_reference(g, 1)
         assert a.value == pytest.approx(b.value, rel=1e-9)
-
-    def test_unknown_engine(self):
-        with pytest.raises(InvalidParameterError):
-            exact_mheight(dual_polygonal(3), 1, engine="bogus")
 
     def test_dimension_capacity_guard(self):
         g = from_columns([tuple(float(i == j) for i in range(9)) for j in range(9)]
@@ -265,7 +256,7 @@ class TestExactMHeight:
 
     def test_subset_capacity_guard(self):
         with pytest.raises(CapacityError):
-            exact_mheight(dual_polygonal(60), 30, engine="reference")
+            lp_module._mheight_reference(dual_polygonal(60), 30)
         rng = np.random.default_rng(0)
         g = from_columns(rng.normal(size=(40, 8)))      # C(40, 8) k-subsets
         with pytest.raises(CapacityError, match="vertex pool"):
@@ -295,10 +286,16 @@ class TestExactProfile:
         prof = exact_profile(from_columns([(1.0, 0.0), (0.0, 1.0)]))
         assert prof.max_m == 1 and prof.height(1).infinite
 
-    def test_rank_deficient_generator_uses_reference_path(self):
-        stats = MHeightStats()
-        prof = exact_profile(from_columns([(1.0, 0.0), (1.0, 0.0)]), stats=stats)
-        assert stats.engine == "reference"
+    def test_rank_deficient_generator_uses_reference_path(self, monkeypatch):
+        calls = []
+        reference = lp_module._mheight_reference
+
+        def spy(generator, m):
+            calls.append(m)
+            return reference(generator, m)
+        monkeypatch.setattr(lp_module, "_mheight_reference", spy)
+        prof = exact_profile(from_columns([(1.0, 0.0), (1.0, 0.0)]))
+        assert calls == [1]
         assert prof.height(1).value == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("columns", [
@@ -314,7 +311,7 @@ class TestExactProfile:
         g = from_columns(columns)
         auto = exact_profile(g)
         for m in range(1, g.n):
-            ref = exact_mheight(g, m, engine="reference")
+            ref = lp_module._mheight_reference(g, m)
             assert ref.infinite == auto.height(m).infinite, m
             if ref.infinite:
                 stats = encode(g, ref.witness).order_stats
@@ -330,7 +327,7 @@ class TestExactProfile:
     def test_all_zero_generator_has_no_height(self):
         g = from_columns([(0.0, 0.0)] * 3)
         with pytest.raises(InvalidParameterError, match="no nonzero codeword"):
-            exact_mheight(g, 1, engine="reference")
+            exact_mheight(g, 1)
 
     def test_closed_form_oracle_agreement(self):
         for family in (Family("dual-polygonal", 8), Family("dual-icosahedral")):
@@ -394,7 +391,7 @@ class TestVertexPool:
             stats = encode(g, prof.height(m).witness).order_stats
             assert stats[0] > 0.1 and stats[m] == pytest.approx(0.0, abs=1e-12)
         for m in (1, 2):
-            ref = exact_mheight(g, m, engine="reference")
+            ref = lp_module._mheight_reference(g, m)
             assert prof.height(m).value == pytest.approx(ref.value, rel=1e-9)
 
 
@@ -453,8 +450,8 @@ class TestInvarianceProperties:
                 mat[:, j] = mat[:, i] * (2.0 if i != j else 1.0)
             g = GeneratorMatrix(mat, Family("custom"))
             for m in range(1, n):
-                a = exact_mheight(g, m, engine="auto")
-                b = exact_mheight(g, m, engine="reference")
+                a = exact_mheight(g, m)
+                b = lp_module._mheight_reference(g, m)
                 assert a.infinite == b.infinite, (mat, m)
                 if not a.infinite:
                     assert abs(a.value - b.value) <= 1e-7 * max(1.0, b.value), (mat, m)
