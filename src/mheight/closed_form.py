@@ -12,6 +12,7 @@ LP engine by the test suite.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .codes import (
     canonical_direction,
     dual_dodecahedral,
     dual_icosahedral,
-    encode,
 )
 from .errors import InvalidParameterError, UnsupportedFamilyError
 from .heights import ExtendedHeight, MHeightProfile
@@ -87,20 +87,41 @@ _DODE_VALUES = {
 }
 
 
-def _dode_candidate_argmax(m: int) -> tuple[float, ...]:
-    """Maximizing direction among the six candidate points for rank ``m``."""
-    generator = dual_dodecahedral()
+def _dode_candidate_argmax(ms: Sequence[int]) -> dict[int, tuple[float, ...]]:
+    """Maximizing direction among the six candidate points for each rank in ``ms``.
+
+    The candidates are encoded once; ties within 1e-12 go to the earlier one.
+    """
     domain = dodecahedral_domain()
-    best_ratio = -math.inf
-    best: np.ndarray | None = None
-    for (u, v) in dodecahedral_candidates():
-        x = domain.point(u, v)
-        ratio = encode(generator, x).height(m)
-        if ratio > best_ratio + 1e-12:
-            best_ratio = ratio
-            best = x
-    assert best is not None
-    return tuple(float(c) for c in best)
+    points = np.array([domain.point(u, v) for (u, v) in dodecahedral_candidates()])
+    mags = np.sort(np.abs(points @ dual_dodecahedral().matrix), axis=1)[:, ::-1]
+    argmax = {}
+    for m in ms:
+        best_ratio = -math.inf
+        for x, top, den in zip(points, mags[:, 0], mags[:, m]):
+            ratio = math.inf if den == 0.0 else top / den
+            if ratio > best_ratio + 1e-12:
+                best_ratio = ratio
+                argmax[m] = tuple(float(c) for c in x)
+    return argmax
+
+
+def _dodecahedral_heights(ms: Sequence[int]) -> list[ExtendedHeight]:
+    """Dodecahedral heights at each ``m`` in ``ms`` (all in ``[1, 9]``)."""
+    g = dual_dodecahedral().columns
+    argmax = _dode_candidate_argmax([m for m in ms if 3 <= m <= 7])
+    heights = []
+    for m in ms:
+        if m == 1:
+            heights.append(ExtendedHeight(_DODE_VALUES[1], witness=tuple(g[0])))
+        elif m == 2:
+            heights.append(ExtendedHeight(_DODE_VALUES[2], witness=tuple((g[0] + g[4]) / 2.0)))
+        elif m <= 7:
+            heights.append(ExtendedHeight(_DODE_VALUES[m], witness=argmax[m]))
+        else:
+            ray = canonical_direction(np.cross(g[0], g[1]))
+            heights.append(ExtendedHeight(math.inf, witness=tuple(ray)))
+    return heights
 
 
 def dodecahedral_height(m: int) -> ExtendedHeight:
@@ -113,15 +134,7 @@ def dodecahedral_height(m: int) -> ExtendedHeight:
     """
     if not 1 <= m <= 9:
         raise InvalidParameterError(f"m must be in [1, 9], got {m}")
-    g = dual_dodecahedral().columns
-    if m == 1:
-        return ExtendedHeight(_DODE_VALUES[1], witness=tuple(g[0]))
-    if m == 2:
-        return ExtendedHeight(_DODE_VALUES[2], witness=tuple((g[0] + g[4]) / 2.0))
-    if m <= 7:
-        return ExtendedHeight(_DODE_VALUES[m], witness=_dode_candidate_argmax(m))
-    ray = canonical_direction(np.cross(g[0], g[1]))
-    return ExtendedHeight(math.inf, witness=tuple(ray))
+    return _dodecahedral_heights([m])[0]
 
 
 def closed_profile(family: Family) -> MHeightProfile:
@@ -132,7 +145,7 @@ def closed_profile(family: Family) -> MHeightProfile:
     elif family.kind == DUAL_ICOSAHEDRAL:
         heights = tuple(icosahedral_height(m) for m in range(1, 6))
     elif family.kind == DUAL_DODECAHEDRAL:
-        heights = tuple(dodecahedral_height(m) for m in range(1, 10))
+        heights = tuple(_dodecahedral_heights(range(1, 10)))
     else:
         raise UnsupportedFamilyError(
             f"no closed-form profile for family {family.label!r}")

@@ -135,11 +135,15 @@ class GeneratorMatrix:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GeneratorMatrix":
-        """Inverse of :meth:`to_json_dict`.  ``k`` and ``n``, when present,
-        must match the columns, and a built-in family tag its shape."""
+        """Inverse of :meth:`to_json_dict`.  Entries must be JSON numbers
+        (not strings, booleans or null); ``k`` and ``n``, when present, must
+        match the columns, and a built-in family tag its shape."""
         try:
-            kind = doc["family"]
-            mat = np.array(doc["columns"], dtype=float).T
+            kind, columns = doc["family"], doc["columns"]
+            if any(isinstance(x, bool) or not isinstance(x, (int, float))
+                   for column in columns for x in column):
+                raise TypeError("matrix entries must be JSON numbers")
+            mat = np.array(columns, dtype=float).T
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidParameterError(f"malformed matrix document: {exc}")
         if mat.ndim != 2:

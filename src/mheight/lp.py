@@ -19,9 +19,12 @@ height.  :func:`solve_lp` solves one such LP by basic-solution enumeration.
 Each bounded optimum is a vertex ``u`` with ``u . g_j = +-1`` on ``k``
 independent columns (Roth's configuration-LP view), and each such vertex
 gives a genuine codeword ratio.  So for a full-row-rank ``G`` every finite
-m-height is the largest ``c_(0) / c_(m)`` over one *vertex pool*:
-:func:`exact_profile` sorts ``|pool @ G|`` once and reads every ``m`` from
-it, in time polynomial in ``n`` for fixed ``k``.  A rank-deficient generator
+m-height is the largest ``c_(0) / c_(m)`` over one *vertex pool*, in time
+polynomial in ``n`` for fixed ``k``.  Pool rows come in ``+-u`` pairs, so
+:func:`exact_profile` solves and sorts only the half with first sign
+``+1``; two sweeps over the rows near the maximum and their partners then
+find every witness at once.  All three passes go a bounded chunk at a time,
+so memory is one chunk plus the rows kept.  A rank-deficient generator
 (no independent ``k``-subset) has no pool: only then are its heights solved
 one configuration LP at a time, by the reference engine that is also the
 tests' oracle.
@@ -393,83 +396,113 @@ def _flat_direction(unit: np.ndarray) -> tuple[int, np.ndarray]:
     return most, canonical_direction(flat)
 
 
-def _first_top_set(code: np.ndarray, tol: np.ndarray, m: int) -> tuple[int, ...] | None:
-    """Lexicographically first ``X`` (``|X| = m``) for which a row is feasible.
-
-    Feasible means the configuration LPs' tests: magnitudes ``>= 1 - tol``
-    on ``X`` and ``<= 1 + tol`` off it, with some entry off ``X`` equal to
-    ``+1``.  A row's first ``X`` holds its magnitudes above ``1 + tol`` and
-    its first near-unit ones; if those take every ``+1`` entry, the last of
-    them gives way to the next near-unit index.
-    """
-    mags = np.abs(code)
-    big = mags > 1.0 + tol
-    mid = (mags >= 1.0 - tol) & ~big
-    one = np.abs(code - 1.0) <= tol
-    room = m - big.sum(axis=1)
-    ok = one.any(axis=1) & (room >= 0) & (room < mid.sum(axis=1))
-    if not ok.any():
-        return None
-    big, mid, one, room = big[ok], mid[ok], one[ok], room[ok, None]
-    rank = np.cumsum(mid, axis=1)
-    top = big | (mid & (rank <= room))
-    full = ~(one & ~top).any(axis=1)
-    rows = np.flatnonzero(full)
-    top[rows, code.shape[1] - 1 - np.argmax(one[rows, ::-1], axis=1)] = False
-    top |= full[:, None] & mid & (rank == room + 1)
-    sets = np.nonzero(top)[1].reshape(-1, m)
-    return tuple(int(j) for j in sets[np.lexsort(sets.T[::-1])[0]])
+def _group_firsts(*keys: np.ndarray) -> np.ndarray:
+    """In ``np.lexsort(keys)`` order, the first row of each last-key value."""
+    order = np.lexsort(keys)
+    group = keys[-1][order]
+    return np.concatenate([order[:1], order[1:][group[1:] != group[:-1]]])
 
 
 def _pool_heights(mat: np.ndarray, subsets: np.ndarray,
                   ms: Sequence[int]) -> list[tuple[float, np.ndarray]]:
     """``(height, witness)`` at each finite ``m`` in ``ms``, by one sorted pass.
 
-    The pool is every ``u`` with ``u . g_j = +-1`` on the ``k``-subsets
-    ``subsets``, in ``combinations`` x ``product`` order, formed and sorted a
-    bounded chunk at a time; rows within ``_NEAR_TOL`` of the running
-    maximum ratio are kept.  The witness is the configuration-LP optimum:
-    the lexicographically first top set ``X`` feasible for a row tied with
-    the maximum, then the first kept row feasible for ``X`` whose largest
-    magnitude on ``X`` is greatest, which is the value.
+    The half pool is every ``u`` with first sign ``+1`` and ``u . g_j = +-1``
+    on the ``k``-subsets ``subsets``, solved a chunk of subsets at a time;
+    rows within ``_NEAR_TOL`` of the running maximum ratio are kept.  The
+    witness is the configuration-LP optimum over the kept rows and their
+    partners ``0.0 - u`` in full-pool order: the lexicographically
+    first top set ``X`` feasible for a row tied with the maximum, then the
+    first row feasible for ``X`` whose largest magnitude on ``X`` is
+    greatest, which is the value.  Each sweep makes a row's magnitude tests
+    once, not once per ``m``.
     """
     k, n = mat.shape
-    signs = np.array(list(product((-1.0, 1.0), repeat=k)))
-    den = n - 1 - np.asarray(ms)
+    h = 1 << (k - 1)
+    signs = np.array(list(product((-1.0, 1.0), repeat=k)))[h:]
+    ms = np.asarray(ms)
     best = np.full(len(ms), -np.inf)
     kept = []
-    step = max(1, CHUNK_ENTRIES // (len(signs) * n))
+    step = max(1, CHUNK_ENTRIES // (2 * h * n))
     for start in range(0, len(subsets), step):
         blocks = mat.T[subsets[start:start + step]]
-        sols = np.linalg.solve(blocks, np.broadcast_to(
-            signs.T, (len(blocks), k, len(signs))))
+        sols = np.linalg.solve(blocks, np.broadcast_to(signs.T, (len(blocks), k, h)))
         cands = sols.transpose(0, 2, 1).reshape(-1, k)
         code = cands @ mat
         mags = np.sort(np.abs(code), axis=1)
         with np.errstate(divide="ignore"):
-            ratios = mags[:, n - 1:] / mags[:, den]
+            ratios = mags[:, n - 1:] / mags[:, n - 1 - ms]
         best = np.maximum(best, ratios.max(axis=0))
-        near = (ratios >= best * (1.0 - _NEAR_TOL)).any(axis=1)
-        kept.append((cands[near], code[near], ratios[near]))
-    cands, code, ratios = (np.concatenate(parts) for parts in zip(*kept))
-
+        near = np.flatnonzero((ratios >= best * (1.0 - _NEAR_TOL)).any(axis=1))
+        if near.size:
+            # Row b * h + j is sign vector h + j of subset b; its partner,
+            # sign vector h - 1 - j, comes before it in the full pool.
+            place = near + h * (near // h + 1)
+            order = np.argsort(np.concatenate([place + 2 * h - 1 - 2 * (place % (2 * h)),
+                                               place]))
+            kept.append((order, np.hstack([cands[near], code[near]]), ratios[near]))
     tol = FEAS_TOL * np.linalg.norm(mat, axis=0)
-    heights = []
-    for i, m in enumerate(ms):
-        rmax = float(best[i])
-        near = np.flatnonzero(ratios[:, i] >= rmax * (1.0 - _NEAR_TOL))
-        tied = near[ratios[near, i] >= rmax * (1.0 - _TIE_TOL)]
-        top = None if math.isinf(rmax) else _first_top_set(code[tied], tol, m)
-        if top is None:             # no tied row passes the tolerance tests
-            heights.append((rmax, cands[tied[0]]))
-            continue
-        x, rest = list(top), [j for j in range(n) if j not in top]
-        mags = np.abs(code[near])
-        feasible = near[(mags[:, x] >= 1.0 - tol[x]).all(axis=1)
-                        & (mags[:, rest] <= 1.0 + tol[rest]).all(axis=1)
-                        & (np.abs(code[near][:, rest] - 1.0) <= tol[rest]).any(axis=1)]
-        local = np.abs(code[np.ix_(feasible, x)]).max(axis=1)
-        heights.append((float(local.max()), cands[feasible[int(np.argmax(local))]]))
+
+    def chunks():
+        """Rows in full-pool order, with magnitude tests: above ``1 + tol``,
+        within ``tol`` of 1, and within ``tol`` of ``+1``."""
+        for order, rows, ratios in kept:
+            rows = np.concatenate([0.0 - rows, rows])[order]
+            mags = np.abs(rows[:, k:])
+            big = mags > 1.0 + tol
+            yield (rows[:, :k], ratios[order % len(ratios)], mags, big,
+                   (mags >= 1.0 - tol) & ~big, np.abs(rows[:, k:] - 1.0) <= tol)
+
+    pairs = max(1, CHUNK_ENTRIES // n)          # (row, m) pairs per batch
+    first_tied = np.full((len(ms), k), np.nan)
+    has, packed = np.empty(0, np.intp), np.empty((0, (n + 7) // 8), np.uint8)
+    for cands, ratios, mags, big, mid, one in chunks():
+        tied = ratios >= best * (1.0 - _TIE_TOL)
+        new = tied.any(axis=0) & np.isnan(first_tied[:, 0])
+        first_tied[new] = cands[tied.argmax(axis=0)[new]]
+        # A row's first X holds its magnitudes above 1 + tol and its first
+        # near-unit ones; if those take every +1 entry, the last of them
+        # gives way to the next near-unit index.
+        r, i = np.nonzero(tied & np.isfinite(best))
+        room = ms[i] - big.sum(axis=1)[r]
+        ok = one.any(axis=1)[r] & (room >= 0) & (room < mid.sum(axis=1)[r])
+        r, i, room = r[ok], i[ok], room[ok, None]
+        rank = np.cumsum(mid, axis=1)
+        last = n - 1 - np.argmax(one[:, ::-1], axis=1)
+        for s in range(0, len(r), pairs):
+            rs, ro = r[s:s + pairs], room[s:s + pairs]
+            top = big[rs] | (mid[rs] & (rank[rs] <= ro))
+            full = ~(one[rs] & ~top).any(axis=1)
+            top[np.flatnonzero(full), last[rs[full]]] = False
+            top |= full[:, None] & mid[rs] & (rank[rs] == ro + 1)
+            # A set is lexicographically first when its complement mask is.
+            has = np.concatenate([has, i[s:s + pairs]])
+            packed = np.concatenate([packed, np.packbits(~top, axis=1)])
+            first = _group_firsts(*packed.T[::-1], has)
+            has, packed = has[first], packed[first]
+    tops = ~np.unpackbits(packed, axis=1, count=n).astype(bool)
+    on_top = tops.T.astype(float)
+
+    # Where no tied row passes the tolerance tests, the first one answers.
+    heights = [(float(best[c]), first_tied[c]) for c in range(len(ms))]
+    value = np.full(len(has), -np.inf)
+    for cands, ratios, mags, big, mid, one in chunks():
+        # Feasible for X: near, magnitudes >= 1 - tol on X and <= 1 + tol
+        # off it, and a +1 off it.  Off X, ``score`` sums to >= 1 iff there
+        # is a +1 and nothing above 1 + tol.
+        score = one - (n + 1.0) * big
+        feasible = ((ratios[:, has] >= best[has] * (1.0 - _NEAR_TOL))
+                    & (~(big | mid) @ on_top == 0)
+                    & (score.sum(axis=1)[:, None] - score @ on_top >= 1))
+        c, r = np.nonzero(feasible.T)
+        for s in range(0, len(r), pairs):
+            cs, rs = c[s:s + pairs], r[s:s + pairs]
+            local = np.where(tops[cs], mags[rs], 0.0).max(axis=1)
+            first = _group_firsts(rs, -local, cs)       # per X, first greatest
+            first = first[local[first] > value[cs[first]]]
+            value[cs[first]] = local[first]
+            for j in first:
+                heights[has[cs[j]]] = (float(local[j]), cands[rs[j]].copy())
     return heights
 
 

@@ -199,6 +199,11 @@ class TestGeneratorMatrix:
         {"family": "custom", "columns": [["a", 1], [0, 1]]},
         {"family": "custom", "columns": [[1, 0], [0, 1, 2]]},
         {"family": "custom", "columns": [[1, None], [0, 1]]},
+        {"family": "custom", "columns": [["1.5", "2"], ["0", "1"]]},
+        {"family": "custom", "columns": [[1.5, 2], [0, "1"]]},
+        {"family": "custom", "columns": [[True, 0], [0, 1]]},
+        {"family": "custom", "columns": [[1, 0], [False, 1]]},
+        {"family": "custom", "columns": [[None, None], [None, None]]},
         {"family": "custom", "columns": [1, 0]},
         {"family": "custom", "columns": [[[1, 0]], [[0, 1]]]},
         {"columns": [[1, 0], [0, 1]]},

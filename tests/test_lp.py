@@ -25,6 +25,7 @@ from mheight import (
     solve_lp,
 )
 import mheight.lp as lp_module
+import pool_oracle
 from mheight import encode, is_mds
 from mheight.codes import Family
 from mheight.lp import FEAS_TOL, OPTIMAL, UNBOUNDED, INFEASIBLE
@@ -268,6 +269,14 @@ class TestExactMHeight:
         h = exact_mheight(dual_polygonal(60), 30)
         assert h.value == pytest.approx(polygonal_height(60, 30).value, rel=1e-9)
 
+    def test_polygonal_100_profile_matches_closed_form(self):
+        prof = exact_profile(dual_polygonal(100))
+        for m in range(1, 100):
+            h, want = prof.height(m), polygonal_height(100, m)
+            assert h.infinite == want.infinite, m
+            if not want.infinite:
+                assert h.value == pytest.approx(want.value, rel=1e-12, abs=0.0), m
+
 
 class TestExactProfile:
     def test_polygonal_3(self):
@@ -378,6 +387,18 @@ class TestVertexPool:
                 assert b.value == pytest.approx(a.value, rel=1e-12)
                 assert b.witness == pytest.approx(a.witness, rel=1e-12)
 
+    @pytest.mark.parametrize("make", [
+        dual_dodecahedral, lambda: dual_polygonal(20),
+        lambda: from_columns(np.random.default_rng(4).integers(-2, 3, size=(9, 3)))])
+    def test_chunk_boundaries_change_nothing(self, make, monkeypatch):
+        g = make()
+        whole = exact_profile(g)
+        monkeypatch.setattr(lp_module, "CHUNK_ENTRIES", 100)
+        chunked = exact_profile(g)
+        assert [h.value for h in chunked.heights] == [h.value for h in whole.heights]
+        assert [tuple(h.witness) for h in chunked.heights] == [
+            tuple(h.witness) for h in whole.heights]
+
     def test_non_mds_infinite_heights_start_at_most_zeros(self):
         # Columns 0, 3 and 5 lie in one plane, so a codeword vanishes on
         # them: the height is infinite from m = n - 3, one below an MDS code.
@@ -455,3 +476,75 @@ class TestInvarianceProperties:
                 assert a.infinite == b.infinite, (mat, m)
                 if not a.infinite:
                     assert abs(a.value - b.value) <= 1e-7 * max(1.0, b.value), (mat, m)
+
+
+def _oracle_codes(kind):
+    """Codes for the differential test against ``pool_oracle``."""
+    if kind == "builtin":
+        return [dual_icosahedral(), dual_dodecahedral()]
+    if kind == "polygonal":
+        return [dual_polygonal(n) for n in range(3, 41)]
+    rng = np.random.default_rng({"gaussian": 1, "integer": 2, "duplicated": 3}[kind])
+    codes = []
+    for k in range(2, 6):
+        for n in range(k + 1, 14):
+            for _ in range(3):
+                if kind == "integer":
+                    cols = rng.integers(-2, 3, size=(n, k)).astype(float)
+                else:
+                    cols = rng.normal(size=(n, k))
+                if kind == "duplicated":
+                    i, j = rng.choice(n, size=2, replace=False)
+                    cols[j] = cols[i]
+                codes.append(from_columns(cols))
+    return codes
+
+
+class TestPoolOracle:
+    """The half-sign pool and its witness sweeps answer exactly as the
+    full pool with a per-m rescan did: equal values, and witnesses equal
+    up to the sign of a zero."""
+
+    def _compare(self, monkeypatch, codes):
+        compared = []
+        pool = lp_module._pool_heights
+
+        def both(mat, subsets, ms):
+            new = pool(mat, subsets, ms)
+            old = pool_oracle._pool_heights(mat, subsets, ms)
+            for m, (value, u), (want, w) in zip(ms, new, old):
+                assert value == want, m
+                assert tuple(u) == tuple(w), m
+            compared.extend(ms)
+            return new
+        monkeypatch.setattr(lp_module, "_pool_heights", both)
+        for g in codes:
+            exact_profile(g)
+        return compared
+
+    @pytest.mark.parametrize("chunk", [None, 100])
+    @pytest.mark.parametrize("kind", ["builtin", "polygonal", "gaussian", "integer",
+                                      "duplicated"])
+    def test_matches_full_pool_oracle(self, kind, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(lp_module, "CHUNK_ENTRIES", chunk)
+        assert self._compare(monkeypatch, _oracle_codes(kind))
+
+    def test_matches_oracle_when_tolerance_tests_fail(self, monkeypatch):
+        # With a zero tolerance few rows pass the configuration tests, so
+        # some m fall back to the first tied row.
+        monkeypatch.setattr(lp_module, "FEAS_TOL", 0.0)
+        monkeypatch.setattr(pool_oracle, "FEAS_TOL", 0.0)
+        fallbacks = []
+        first_top_set = pool_oracle._first_top_set
+
+        def spy(code, tol, m):
+            top = first_top_set(code, tol, m)
+            fallbacks.append(top is None)
+            return top
+        monkeypatch.setattr(pool_oracle, "_first_top_set", spy)
+        rng = np.random.default_rng(5)
+        codes = [dual_icosahedral(), dual_dodecahedral(), dual_polygonal(9)]
+        codes += [from_columns(rng.normal(size=(n, 3))) for n in range(4, 12)]
+        assert self._compare(monkeypatch, codes)
+        assert any(fallbacks) and not all(fallbacks)
