@@ -40,6 +40,8 @@ _POLYGONAL_NS = range(3, 13)
 _MONOTONICITY_GRID = 50
 #: Points per array pass of a sampled suite; bounds memory for any --samples.
 _CHUNK = 4096
+_MATCH_TOL = 1e-9       # verify contract: candidate and sampled heights
+_AGREE_TOL = 1e-6       # verify contract: closed vs exact profiles, relative
 
 
 def _fmt_float(x: float) -> str:
@@ -200,11 +202,11 @@ def _suite_polygonal_order(samples: int, rng: np.random.Generator) -> list[dict]
     return checks
 
 
-def _suite_triangle_ranks(kind: str, samples: int, rng: np.random.Generator) -> list[dict]:
-    count = (search.icosahedral_chain_violations if kind == "icos"
-             else search.dodecahedral_rank_violations)
+def _suite_triangle_ranks(suite: str, samples: int, rng: np.random.Generator) -> list[dict]:
+    icos = suite == "icos-chain"
+    count = search.icosahedral_chain_violations if icos else search.dodecahedral_rank_violations
     bad = sum(int(count(us, vs).sum()) for us, vs in _triangle_chunks(rng, samples))
-    name = "icosahedral-chain" if kind == "icos" else "dodecahedral-ranks"
+    name = "icosahedral-chain" if icos else "dodecahedral-ranks"
     return [{"name": name, "samples": samples, "violations": bad,
              "passed": bad == 0}]
 
@@ -233,17 +235,15 @@ def _suite_candidates() -> list[dict]:
         closed = closed_form.dodecahedral_height(m)
         err = abs(best - closed.value) / closed.value
         checks.append({"name": f"candidate-max-m{m}", "relative_error": err,
-                       "passed": err <= 1e-9})
+                       "passed": err <= _MATCH_TOL})
     return checks
 
 
 def _suite_cross_check(samples: int, rng: np.random.Generator) -> list[dict]:
     checks = []
-    cases: list[tuple[str, GeneratorMatrix]] = []
-    for n in _POLYGONAL_NS:
-        cases.append((f"dual-polygonal-n{n}", dual_polygonal(n)))
-    cases.append((DUAL_ICOSAHEDRAL, dual_icosahedral()))
-    cases.append((DUAL_DODECAHEDRAL, dual_dodecahedral()))
+    cases = [(f"dual-polygonal-n{n}", dual_polygonal(n)) for n in _POLYGONAL_NS]
+    cases += [(DUAL_ICOSAHEDRAL, dual_icosahedral()),
+              (DUAL_DODECAHEDRAL, dual_dodecahedral())]
     for name, generator in cases:
         closed = closed_form.closed_profile(generator.family)
         exact = exact_profile(generator)
@@ -256,7 +256,7 @@ def _suite_cross_check(samples: int, rng: np.random.Generator) -> list[dict]:
                 break
             if not c.infinite:
                 worst = max(worst, abs(c.value - e.value) / c.value)
-        agree = agree and worst <= 1e-6
+        agree = agree and worst <= _AGREE_TOL
         entry = {"name": f"cross-check-{name}", "max_relative_error": worst,
                  "passed": agree}
         if samples > 0:
@@ -271,7 +271,7 @@ def _suite_cross_check(samples: int, rng: np.random.Generator) -> list[dict]:
                 den = mags[:, -1 - m]
                 ok = den > 0
                 ratios = mags[ok, -1] / den[ok]
-                if ratios.size and float(ratios.max()) > e.value + 1e-9:
+                if ratios.size and float(ratios.max()) > e.value + _MATCH_TOL:
                     dominated = False
             entry["sample_dominated"] = dominated
             entry["passed"] = agree and dominated
@@ -284,10 +284,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     samples = args.samples
     if args.suite == "polygonal-order":
         checks = _suite_polygonal_order(1000 if samples is None else samples, rng)
-    elif args.suite == "icos-chain":
-        checks = _suite_triangle_ranks("icos", 1000 if samples is None else samples, rng)
-    elif args.suite == "dode-ranks":
-        checks = _suite_triangle_ranks("dode", 1000 if samples is None else samples, rng)
+    elif args.suite in ("icos-chain", "dode-ranks"):
+        checks = _suite_triangle_ranks(args.suite, 1000 if samples is None else samples, rng)
     elif args.suite == "monotonicity":
         checks = _suite_monotonicity(_MONOTONICITY_GRID if samples is None else samples)
     elif args.suite == "candidates":

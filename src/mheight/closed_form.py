@@ -29,6 +29,7 @@ from .codes import (
 from .errors import InvalidParameterError, UnsupportedFamilyError
 from .heights import ExtendedHeight, MHeightProfile
 from .search import dodecahedral_candidates, dodecahedral_domain
+from .tolerances import TIE_TOL
 
 _SQRT5 = math.sqrt(5.0)
 
@@ -90,7 +91,7 @@ _DODE_VALUES = {
 def _dode_candidate_argmax(ms: Sequence[int]) -> dict[int, tuple[float, ...]]:
     """Maximizing direction among the six candidate points for each rank in ``ms``.
 
-    The candidates are encoded once; ties within 1e-12 go to the earlier one.
+    The candidates are encoded once; of two tied ratios the earlier wins.
     """
     domain = dodecahedral_domain()
     points = np.array([domain.point(u, v) for (u, v) in dodecahedral_candidates()])
@@ -100,7 +101,7 @@ def _dode_candidate_argmax(ms: Sequence[int]) -> dict[int, tuple[float, ...]]:
         best_ratio = -math.inf
         for x, top, den in zip(points, mags[:, 0], mags[:, m]):
             ratio = math.inf if den == 0.0 else top / den
-            if ratio > best_ratio + 1e-12:
+            if ratio > best_ratio + TIE_TOL:
                 best_ratio = ratio
                 argmax[m] = tuple(float(c) for c in x)
     return argmax

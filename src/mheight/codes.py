@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError
+from .tolerances import RANK_TOL, ROUNDOFF_SLACK
 
 #: Golden ratio, evaluated at full working precision.
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -36,9 +37,6 @@ DUAL_DODECAHEDRAL = "dual-dodecahedral"
 CUSTOM = "custom"
 
 _KNOWN_KINDS = (DUAL_POLYGONAL, DUAL_ICOSAHEDRAL, DUAL_DODECAHEDRAL, CUSTOM)
-
-#: Determinant threshold for rank decisions on unit-length columns.
-RANK_TOL = 1e-9
 
 #: Array entries per batch of a bounded-memory pass (8 MB of float64).
 CHUNK_ENTRIES = 1 << 20
@@ -291,25 +289,24 @@ def unit_columns(matrix: np.ndarray) -> np.ndarray:
 
 
 def canonical_direction(vec: np.ndarray) -> np.ndarray:
-    """Unit vector along ``vec`` whose first entry above 1e-12 is positive."""
+    """Unit vector along ``vec`` whose first entry above round-off is positive."""
     v = np.asarray(vec, dtype=float) / np.linalg.norm(vec)
-    lead = v[np.abs(v) > 1e-12]
+    lead = v[np.abs(v) > ROUNDOFF_SLACK]
     return -v if lead.size and lead[0] < 0 else v
 
 
-def independent_subsets(unit: np.ndarray, subsets: np.ndarray,
-                        rank_tol: float = RANK_TOL) -> np.ndarray:
+def independent_subsets(unit: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """Mask of the ``k``-column subsets of ``unit`` that are independent.
 
     ``unit`` holds unit-length columns (:func:`unit_columns`) and each row of
     ``subsets`` names ``k`` of them.  A subset is independent iff
-    ``|det| > rank_tol``; on unit columns the test is invariant to any
+    ``|det| > RANK_TOL``; on unit columns the test is invariant to any
     column scaling.  Determinants are taken a bounded batch at a time.
     """
     k = unit.shape[0]
     step = max(1, CHUNK_ENTRIES // (k * k))
     return np.concatenate([
-        np.abs(np.linalg.det(unit.T[subsets[i:i + step]])) > rank_tol
+        np.abs(np.linalg.det(unit.T[subsets[i:i + step]])) > RANK_TOL
         for i in range(0, len(subsets), step)])
 
 
@@ -321,7 +318,7 @@ def column_subsets(n: int, r: int) -> np.ndarray:
     return flat.reshape(count, r)
 
 
-def is_mds(generator: GeneratorMatrix, rank_tol: float = RANK_TOL) -> bool:
+def is_mds(generator: GeneratorMatrix) -> bool:
     """True iff every ``k``-subset of columns is linearly independent.
 
     Independence is decided by :func:`independent_subsets` on unit-length
@@ -329,4 +326,4 @@ def is_mds(generator: GeneratorMatrix, rank_tol: float = RANK_TOL) -> bool:
     """
     unit = unit_columns(generator.matrix)
     subsets = column_subsets(generator.n, generator.k)
-    return bool(np.all(independent_subsets(unit, subsets, rank_tol)))
+    return bool(np.all(independent_subsets(unit, subsets)))

@@ -4,17 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from .codes import Family
 from .errors import InvalidParameterError
-
-# A finite m-height can never drop below 1 (the top order statistic bounds
-# every later one); allow a hair of slack for values produced numerically.
-_MIN_FINITE = 1.0 - 1e-9
-
-# Relative slack when validating that a profile is nondecreasing in m.
-_MONOTONE_SLACK = 1e-9
+from .tolerances import HEIGHT_SLACK
 
 
 @dataclass(frozen=True)
@@ -33,7 +26,7 @@ class ExtendedHeight:
         val = float(self.value)
         if math.isnan(val):
             raise InvalidParameterError("height value cannot be NaN")
-        if not math.isinf(val) and val < _MIN_FINITE:
+        if not math.isinf(val) and val < 1.0 - HEIGHT_SLACK:
             raise InvalidParameterError(f"finite height must be >= 1, got {val}")
         object.__setattr__(self, "value", val)
         if self.witness is not None:
@@ -77,20 +70,11 @@ class MHeightProfile:
                     raise InvalidParameterError(
                         f"profile drops back to finite at m={m}")
                 if not prev.infinite and not h.infinite:
-                    slack = _MONOTONE_SLACK * max(1.0, prev.value)
+                    slack = HEIGHT_SLACK * max(1.0, prev.value)
                     if h.value < prev.value - slack:
                         raise InvalidParameterError(
                             f"profile decreases at m={m}: {prev.value} -> {h.value}")
             prev = h
-
-    @classmethod
-    def from_mapping(cls, family: Family,
-                     mapping: Mapping[int, ExtendedHeight]) -> "MHeightProfile":
-        ms = sorted(mapping)
-        if ms != list(range(1, len(ms) + 1)):
-            raise InvalidParameterError(
-                f"profile keys must be 1..n-1 without gaps, got {ms}")
-        return cls(family, tuple(mapping[m] for m in ms))
 
     @property
     def max_m(self) -> int:

@@ -39,27 +39,19 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .codes import (CHUNK_ENTRIES, RANK_TOL, GeneratorMatrix, canonical_direction,
+from .codes import (CHUNK_ENTRIES, GeneratorMatrix, canonical_direction,
                     column_subsets, independent_subsets, power_of_two_scaled,
                     unit_columns)
 from .errors import CapacityError, InvalidParameterError
 from .heights import ExtendedHeight, MHeightProfile
+from .tolerances import FEAS_TOL, NEAR_TOL, RANK_TOL, TIE_TOL
 
-#: Feasibility tolerance, applied after normalizing each constraint row to
-#: unit coefficient norm.
-FEAS_TOL = 1e-9
-
-_TIE_TOL = 1e-12
-_ZERO_ROW = 1e-12
 _MAX_DIM = 8
 _MAX_ROWS = 10_000
 #: Capacity guards.  The reference engine solves one LP per configuration;
 #: the pool engine solves one ``k x k`` system per ``k``-subset of columns.
 _MAX_REFERENCE_LPS = 100_000_000
 _MAX_SUBSETS = 2_000_000
-#: Pool rows whose ratio is within this relative distance of the maximum are
-#: kept for the witness choice; it covers the feasibility tolerances.
-_NEAR_TOL = 1e-6
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -127,6 +119,14 @@ class LPResult:
         return cls(INFEASIBLE)
 
 
+# Reference-solver floors, on unit-norm rows.
+_ZERO_ROW = 1e-12       # a shorter row is zero
+_DET_FLOOR = 1e-13      # |det| at or below it: a singular active subsystem
+_POINT_CAP = 1e14       # a vertex candidate this large is discarded
+_RAY_FLOOR = 1e-9       # null-direction norm, or relative singular value
+_SVD_FLOOR = 1e-10      # relative singular value counted in the rank
+
+
 def _collect_rows(problem: LPProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Normalize rows to unit coefficient norm; screen zero rows.
 
@@ -140,17 +140,14 @@ def _collect_rows(problem: LPProblem) -> tuple[np.ndarray, np.ndarray, np.ndarra
             vec = np.array(a, dtype=float)
             nrm = float(np.linalg.norm(vec))
             if nrm <= _ZERO_ROW:
-                if is_eq and abs(r) > FEAS_TOL:
-                    return np.empty((0, problem.dim)), np.empty(0), np.empty(0, bool), False
-                if not is_eq and r > FEAS_TOL:
+                if (abs(r) if is_eq else r) > FEAS_TOL:
                     return np.empty((0, problem.dim)), np.empty(0), np.empty(0, bool), False
                 continue
             rows.append(vec / nrm)
             rhs.append(r / nrm)
             eq_flags.append(is_eq)
-    if rows:
-        return np.array(rows), np.array(rhs), np.array(eq_flags, dtype=bool), True
-    return np.empty((0, problem.dim)), np.empty(0), np.empty(0, bool), True
+    return (np.array(rows).reshape(-1, problem.dim), np.array(rhs, dtype=float),
+            np.array(eq_flags, dtype=bool), True)
 
 
 def _vertex_candidates(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -161,11 +158,12 @@ def _vertex_candidates(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     idx = np.array(list(combinations(range(m_rows), r)))
     blocks = A[idx]                               # (C, r, r)
     dets = np.abs(np.linalg.det(blocks))
-    ok = dets > 1e-13
+    ok = dets > _DET_FLOOR
     if not ok.any():
         return np.empty((0, r))
     points = np.linalg.solve(blocks[ok], rhs[idx[ok]][..., None])[..., 0]
-    finite = np.all(np.isfinite(points), axis=1) & (np.max(np.abs(points), axis=1) < 1e14)
+    finite = (np.all(np.isfinite(points), axis=1)
+              & (np.max(np.abs(points), axis=1) < _POINT_CAP))
     return points[finite]
 
 
@@ -186,17 +184,17 @@ def _ray_candidates(A: np.ndarray, obj: np.ndarray) -> np.ndarray:
         if r == 2:
             rows = A[idx[:, 0]]
             perp = np.column_stack([-rows[:, 1], rows[:, 0]])
-            keep = np.linalg.norm(perp, axis=1) > 1e-9
+            keep = np.linalg.norm(perp, axis=1) > _RAY_FLOOR
             dirs.append(perp[keep])
         elif r == 3:
             cross = np.cross(A[idx[:, 0]], A[idx[:, 1]])
-            keep = np.linalg.norm(cross, axis=1) > 1e-9
+            keep = np.linalg.norm(cross, axis=1) > _RAY_FLOOR
             dirs.append(cross[keep] / np.linalg.norm(cross[keep], axis=1, keepdims=True))
         else:
             for rows_idx in idx:
                 block = A[rows_idx]
                 _, s, vt = np.linalg.svd(block)
-                if s[-1] <= 1e-9 * max(1.0, float(s[0])):
+                if s[-1] <= _RAY_FLOOR * max(1.0, float(s[0])):
                     continue
                 dirs.append(vt[r - 1][None, :])
     nrm = float(np.linalg.norm(obj))
@@ -206,6 +204,12 @@ def _ray_candidates(A: np.ndarray, obj: np.ndarray) -> np.ndarray:
         return np.empty((0, r))
     stacked = np.vstack(dirs)
     return np.vstack([stacked, -stacked])
+
+
+def _satisfied(residuals: np.ndarray, is_eq: np.ndarray) -> np.ndarray:
+    """Rows whose residuals meet every constraint to within ``FEAS_TOL``."""
+    return (np.all(np.abs(residuals[:, is_eq]) <= FEAS_TOL, axis=1)
+            & np.all(residuals[:, ~is_eq] >= -FEAS_TOL, axis=1))
 
 
 def _enumerate_core(A: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray,
@@ -220,13 +224,7 @@ def _enumerate_core(A: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray,
     if points.shape[0] == 0:
         return LPResult.infeasible()
 
-    residuals = points @ A.T - rhs
-    feasible = np.ones(points.shape[0], dtype=bool)
-    if is_eq.any():
-        feasible &= np.max(np.abs(residuals[:, is_eq]), axis=1) <= FEAS_TOL
-    ge = ~is_eq
-    if ge.any():
-        feasible &= np.min(residuals[:, ge], axis=1) >= -FEAS_TOL
+    feasible = _satisfied(points @ A.T - rhs, is_eq)
     if not feasible.any():
         return LPResult.infeasible()
 
@@ -237,12 +235,7 @@ def _enumerate_core(A: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray,
 
     rays = _ray_candidates(A, obj)
     if rays.shape[0]:
-        improving = rays @ obj > FEAS_TOL
-        res = rays @ A.T
-        if is_eq.any():
-            improving &= np.max(np.abs(res[:, is_eq]), axis=1) <= FEAS_TOL
-        if ge.any():
-            improving &= np.min(res[:, ge], axis=1) >= -FEAS_TOL
+        improving = (rays @ obj > FEAS_TOL) & _satisfied(rays @ A.T, is_eq)
         if improving.any():
             return LPResult.unbounded(rays[int(np.flatnonzero(improving)[0])])
 
@@ -280,7 +273,7 @@ def solve_lp(problem: LPProblem) -> LPResult:
     # is unbounded as soon as it is feasible, otherwise the optimization
     # lives entirely inside the row space and becomes pointed there.
     _, svals, vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(svals > 1e-10 * max(1.0, float(svals[0]))))
+    rank = int(np.sum(svals > _SVD_FLOOR * max(1.0, float(svals[0]))))
     basis = vt[:rank].T                      # (dim, rank)
     obj_in = basis.T @ obj
     obj_out = obj - basis @ obj_in
@@ -409,7 +402,7 @@ def _pool_heights(mat: np.ndarray, subsets: np.ndarray,
 
     The half pool is every ``u`` with first sign ``+1`` and ``u . g_j = +-1``
     on the ``k``-subsets ``subsets``, solved a chunk of subsets at a time;
-    rows within ``_NEAR_TOL`` of the running maximum ratio are kept.  The
+    rows within ``NEAR_TOL`` of the running maximum ratio are kept.  The
     witness is the configuration-LP optimum over the kept rows and their
     partners ``0.0 - u`` in full-pool order: the lexicographically
     first top set ``X`` feasible for a row tied with the maximum, then the
@@ -433,7 +426,7 @@ def _pool_heights(mat: np.ndarray, subsets: np.ndarray,
         with np.errstate(divide="ignore"):
             ratios = mags[:, n - 1:] / mags[:, n - 1 - ms]
         best = np.maximum(best, ratios.max(axis=0))
-        near = np.flatnonzero((ratios >= best * (1.0 - _NEAR_TOL)).any(axis=1))
+        near = np.flatnonzero((ratios >= best * (1.0 - NEAR_TOL)).any(axis=1))
         if near.size:
             # Row b * h + j is sign vector h + j of subset b; its partner,
             # sign vector h - 1 - j, comes before it in the full pool.
@@ -457,7 +450,7 @@ def _pool_heights(mat: np.ndarray, subsets: np.ndarray,
     first_tied = np.full((len(ms), k), np.nan)
     has, packed = np.empty(0, np.intp), np.empty((0, (n + 7) // 8), np.uint8)
     for cands, ratios, mags, big, mid, one in chunks():
-        tied = ratios >= best * (1.0 - _TIE_TOL)
+        tied = ratios >= best * (1.0 - TIE_TOL)
         new = tied.any(axis=0) & np.isnan(first_tied[:, 0])
         first_tied[new] = cands[tied.argmax(axis=0)[new]]
         # A row's first X holds its magnitudes above 1 + tol and its first
@@ -491,7 +484,7 @@ def _pool_heights(mat: np.ndarray, subsets: np.ndarray,
         # off it, and a +1 off it.  Off X, ``score`` sums to >= 1 iff there
         # is a +1 and nothing above 1 + tol.
         score = one - (n + 1.0) * big
-        feasible = ((ratios[:, has] >= best[has] * (1.0 - _NEAR_TOL))
+        feasible = ((ratios[:, has] >= best[has] * (1.0 - NEAR_TOL))
                     & (~(big | mid) @ on_top == 0)
                     & (score.sum(axis=1)[:, None] - score @ on_top >= 1))
         c, r = np.nonzero(feasible.T)
@@ -553,7 +546,7 @@ def _mheight_reference(generator: GeneratorMatrix, m: int) -> ExtendedHeight:
         if result.status == UNBOUNDED:
             ray = canonical_direction(np.array(result.ray))
             return ExtendedHeight(math.inf, witness=tuple(ray))
-        if result.status == OPTIMAL and result.value > best_val + _TIE_TOL:
+        if result.status == OPTIMAL and result.value > best_val + TIE_TOL:
             best_val = result.value
             best_point = result.point
     if best_point is None:

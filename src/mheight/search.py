@@ -31,10 +31,7 @@ from .codes import (
 )
 from .errors import InvalidParameterError
 from .heights import ExtendedHeight
-
-#: Two magnitudes closer than this (relative to their size) are treated as
-#: tied, and either order is accepted.
-TIE_TOL = 1e-12
+from .tolerances import ROUNDOFF_SLACK, TIE_TOL
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_ITERS = 64
@@ -56,9 +53,6 @@ class ArcDomain:
     @property
     def upper(self) -> float:
         return math.pi / (2 * self.n)
-
-    def direction(self, alpha: float) -> np.ndarray:
-        return np.array([math.cos(alpha), math.sin(alpha)])
 
 
 @dataclass(frozen=True)
@@ -214,7 +208,7 @@ def _check_alphas(n: int, alphas: np.ndarray) -> None:
     if n < 2:
         raise InvalidParameterError("need n >= 2")
     upper = math.pi / (2 * n)
-    bad = (alphas < -1e-12) | (alphas > upper + 1e-12)
+    bad = (alphas < -ROUNDOFF_SLACK) | (alphas > upper + ROUNDOFF_SLACK)
     if bad.any():
         raise InvalidParameterError(
             f"alpha must lie in [0, {upper:.6g}], got {alphas[bad][0]}")
@@ -259,7 +253,7 @@ def _rank_sets(mags: np.ndarray) -> _RuleCheck:
 
 
 def _check_triangle_params(us: np.ndarray, vs: np.ndarray) -> None:
-    bad = (us < -1e-12) | (vs < -1e-12) | (us + vs > 1.0 + 1e-12)
+    bad = (us < -ROUNDOFF_SLACK) | (vs < -ROUNDOFF_SLACK) | (us + vs > 1.0 + ROUNDOFF_SLACK)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise InvalidParameterError(
@@ -337,8 +331,10 @@ def dodecahedral_candidates() -> tuple[tuple[float, float], ...]:
 # ---------------------------------------------------------------------------
 # Monotonicity checks
 
-_FD_STEP = 1e-6
-_FD_ASSERT = 1e-8
+_FD_STEP = 1e-6         # centred finite-difference step
+_FD_ASSERT = 1e-8       # smallest |derivative| whose sign is asserted
+_EDGE_MARGIN = 1e-5     # grid margin from the edges, relative to the extent
+_CUT_MARGIN = 1e-4      # dodecahedral j=8 region's offset from its cut line
 #: Grid points per array pass of a triangle monotonicity check.
 _GRID_CHUNK = 1 << 14
 
@@ -395,7 +391,7 @@ def _polygonal_monotonicity(family: Family, m: int, res: int) -> MonotonicityRep
             f"ratio index must be in [1, {n - 2}] for n={n}, got {m}")
     expected = 1 if m % 2 == 0 else -1
     upper = math.pi / (2 * n)
-    margin = max(10 * _FD_STEP, 1e-5 * upper)
+    margin = max(10 * _FD_STEP, _EDGE_MARGIN * upper)
     alphas = np.linspace(margin, upper - margin, res)
     deriv = (_arc_ratio(n, m, alphas + _FD_STEP)
              - _arc_ratio(n, m, alphas - _FD_STEP)) / (2 * _FD_STEP)
@@ -440,7 +436,7 @@ def _triangle_monotonicity(family: Family, j: int, res: int) -> MonotonicityRepo
         # boundary, where that projection is bounded away from zero.
         if j == 8:
             cut = 2.0 * math.sqrt(5.0) - 4.0
-            region = lambda uu, vv: vv >= cut * (1.0 - uu) + 1e-4
+            region = lambda uu, vv: vv >= cut * (1.0 - uu) + _CUT_MARGIN
         else:
             region = None
     if j not in signs:
@@ -461,7 +457,7 @@ def _triangle_monotonicity(family: Family, j: int, res: int) -> MonotonicityRepo
     h = _FD_STEP
     violations: dict[str, list[Violation]] = {"u": [], "v": []}
     asserted = 0
-    for uu, vv in _triangle_grid(res, max(10 * _FD_STEP, 1e-5), region):
+    for uu, vv in _triangle_grid(res, max(10 * _FD_STEP, _EDGE_MARGIN), region):
         du = (ratio(uu + h, vv) - ratio(uu - h, vv)) / (2 * h)
         dv = (ratio(uu, vv + h) - ratio(uu, vv - h)) / (2 * h)
         for sign, deriv, name in ((su, du, "u"), (sv, dv, "v")):
@@ -604,7 +600,7 @@ def _search_triangle(generator: GeneratorMatrix, m: int, domain: TriangleDomain,
     line = np.linspace(0.0, 1.0, resolution)
     uu, vv = np.meshgrid(line, line)
     uu, vv = uu.ravel(), vv.ravel()
-    keep = uu + vv <= 1.0 + 1e-12
+    keep = uu + vv <= 1.0 + ROUNDOFF_SLACK
     uu, vv = uu[keep], vv[keep]
     pts = domain.points(uu, vv)
     ratios, num, den = _ratio_batch(pts, matrix, m)

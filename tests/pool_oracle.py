@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from mheight.codes import CHUNK_ENTRIES
-from mheight.lp import FEAS_TOL, _NEAR_TOL, _TIE_TOL
+from mheight.lp import FEAS_TOL, NEAR_TOL as _NEAR_TOL, TIE_TOL as _TIE_TOL
 
 
 def _first_top_set(code: np.ndarray, tol: np.ndarray, m: int) -> tuple[int, ...] | None:

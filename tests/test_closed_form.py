@@ -210,11 +210,6 @@ class TestExtendedHeightType:
 
 
 class TestProfileType:
-    def test_gapped_keys_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            MHeightProfile.from_mapping(
-                Family(CUSTOM), {1: ExtendedHeight(1.0), 3: ExtendedHeight(2.0)})
-
     def test_decreasing_rejected(self):
         with pytest.raises(InvalidParameterError):
             MHeightProfile(Family(CUSTOM), (ExtendedHeight(3.0), ExtendedHeight(2.0)))
