@@ -201,6 +201,15 @@ class Codeword:
         return num / den
 
 
+def check_integer(name: str, value: object, lo: int, hi: int | None = None) -> None:
+    """Raise unless ``value`` is an int or numpy integer, not a bool, in
+    ``[lo, hi]`` (``hi=None``: no upper bound)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < lo or (hi is not None and value > hi)):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise InvalidParameterError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
 def encode(generator: GeneratorMatrix, u: Sequence[float] | np.ndarray) -> Codeword:
     """Encode the information vector ``u`` and compute its order statistics."""
     vec = np.asarray(u, dtype=float)

@@ -40,8 +40,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .codes import (CHUNK_ENTRIES, GeneratorMatrix, canonical_direction,
-                    column_subsets, independent_subsets, power_of_two_scaled,
-                    unit_columns)
+                    check_integer, column_subsets, independent_subsets,
+                    power_of_two_scaled, unit_columns)
 from .errors import CapacityError, InvalidParameterError
 from .heights import ExtendedHeight, MHeightProfile
 from .tolerances import FEAS_TOL, NEAR_TOL, RANK_TOL, TIE_TOL
@@ -562,12 +562,6 @@ def _mheight_reference(generator: GeneratorMatrix, m: int) -> ExtendedHeight:
     return ExtendedHeight(best_val, witness=best_point)
 
 
-def _validate_m(generator: GeneratorMatrix, m: int) -> None:
-    if not isinstance(m, (int, np.integer)) or not 1 <= m <= generator.n - 1:
-        raise InvalidParameterError(
-            f"m must be an integer in [1, {generator.n - 1}], got {m!r}")
-
-
 def _heights(generator: GeneratorMatrix, ms: Sequence[int]) -> list[ExtendedHeight]:
     k, n = generator.k, generator.n
     if k > _MAX_DIM:
@@ -589,7 +583,7 @@ def exact_mheight(generator: GeneratorMatrix, m: int) -> ExtendedHeight:
     configuration LP.  The witness is a maximizing information vector, or a
     direction whose codeword has a zero (m+1)-th order statistic.
     """
-    _validate_m(generator, m)
+    check_integer("m", m, 1, generator.n - 1)
     return _heights(generator, [m])[0]
 
 

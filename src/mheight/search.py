@@ -26,6 +26,7 @@ from .codes import (
     PHI,
     Family,
     GeneratorMatrix,
+    check_integer,
     dual_dodecahedral,
     dual_icosahedral,
 )
@@ -84,9 +85,10 @@ class TriangleDomain:
         return u * a + v * b + (1.0 - u - v) * c
 
     def points(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        a, b, c = self._vertex_arrays
-        w = 1.0 - us - vs
-        return np.outer(us, a) + np.outer(vs, b) + np.outer(w, c)
+        """``(N, k)`` points, a transposed view of a ``(k, N)`` array: numpy
+        then loops over the long axis, not over rows of length ``k``."""
+        a, b, c = (x[:, None] for x in self._vertex_arrays)
+        return (a * us + b * vs + c * (1.0 - us - vs)).T
 
 
 FundamentalDomain = ArcDomain | TriangleDomain
@@ -335,8 +337,8 @@ _FD_STEP = 1e-6         # centred finite-difference step
 _FD_ASSERT = 1e-8       # smallest |derivative| whose sign is asserted
 _EDGE_MARGIN = 1e-5     # grid margin from the edges, relative to the extent
 _CUT_MARGIN = 1e-4      # dodecahedral j=8 region's offset from its cut line
-#: Grid points per array pass of a triangle monotonicity check.
-_GRID_CHUNK = 1 << 14
+#: Grid points per array pass of a triangle monotonicity check or a search.
+_GRID_CHUNK = 1 << 12
 
 # Expected signs (d/du, d/dv) of the ratio |x.g1| / |x.g_j| on the
 # fundamental triangle; None leaves that partial unasserted.
@@ -403,20 +405,30 @@ def _polygonal_monotonicity(family: Family, m: int, res: int) -> MonotonicityRep
     return MonotonicityReport(family, m, (expected,), int(check.sum()), violations)
 
 
-def _triangle_grid(res: int, margin: float,
-                   region: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
+def _triangle_grid(line: np.ndarray, limit: float,
+                   region: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
                    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Interior points of a ``res x res`` grid over the triangle, in row-major
-    order, a bounded number of grid rows (``_GRID_CHUNK`` points) at a time."""
-    line = np.linspace(margin, 1.0 - margin, res)
-    step = max(1, _GRID_CHUNK // res)
-    for start in range(0, res, step):
-        uu, vv = np.meshgrid(line, line[start:start + step])
-        uu, vv = uu.ravel(), vv.ravel()
-        keep = uu + vv <= 1.0 - margin
-        if region is not None:
-            keep &= region(uu, vv)
-        yield uu[keep], vv[keep]
+    """Grid points ``(u, v) = (line[c], line[r])`` with ``u + v <= limit``
+    (and inside ``region``), row-major -- v, then u -- in blocks of at most
+    ``_GRID_CHUNK`` points.
+
+    ``line`` increases, so row ``r`` keeps a prefix of it no longer than row
+    ``r - 1``'s, and a block spans only the columns its previous row kept.
+    """
+    width, r = len(line), 0
+    while width and r < len(line):
+        vs = line[r:r + max(1, _GRID_CHUNK // width), None]
+        kept = 0
+        for c in range(0, width, _GRID_CHUNK):
+            us = line[c:min(width, c + _GRID_CHUNK)]
+            keep = us + vs <= limit
+            kept += int(np.count_nonzero(keep[-1]))
+            if region is not None:
+                keep &= region(us, vs)
+            if keep.any():
+                yield (np.broadcast_to(us, keep.shape)[keep],
+                       np.broadcast_to(vs, keep.shape)[keep])
+        width, r = kept, r + len(vs)
 
 
 def _triangle_monotonicity(family: Family, j: int, res: int) -> MonotonicityReport:
@@ -457,7 +469,9 @@ def _triangle_monotonicity(family: Family, j: int, res: int) -> MonotonicityRepo
     h = _FD_STEP
     violations: dict[str, list[Violation]] = {"u": [], "v": []}
     asserted = 0
-    for uu, vv in _triangle_grid(res, max(10 * _FD_STEP, _EDGE_MARGIN), region):
+    margin = max(10 * _FD_STEP, _EDGE_MARGIN)
+    line = np.linspace(margin, 1.0 - margin, res)
+    for uu, vv in _triangle_grid(line, 1.0 - margin, region):
         du = (ratio(uu + h, vv) - ratio(uu - h, vv)) / (2 * h)
         dv = (ratio(uu, vv + h) - ratio(uu, vv - h)) / (2 * h)
         for sign, deriv, name in ((su, du, "u"), (sv, dv, "v")):
@@ -513,26 +527,45 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float,
     return x, f(x)
 
 
-def _ratio_batch(points: np.ndarray, matrix: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-point ``(ratio, numerator, denominator)`` of the height objective."""
-    mags = np.abs(points @ matrix)
-    mags.sort(axis=1)
-    num = mags[:, -1]
-    den = mags[:, -1 - m]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, -np.inf))
-    return ratios, num, den
+def _grid_max(blocks: Iterator[tuple[tuple[np.ndarray, ...], np.ndarray]], matrix: np.ndarray,
+              m: int) -> tuple[float, tuple[float, ...] | None, tuple[float, ...]]:
+    """``(ratio, params, point)`` at the first maximum of the height ratio over
+    ``(params, points)`` blocks, or ``(inf, None, point)`` at the first point
+    whose denominator is exactly zero while its numerator is not."""
+    best, buf = None, np.empty((_GRID_CHUNK + 1, matrix.shape[1]))
+    for params, pts in blocks:
+        # numpy sends a one-row product to gemv, which rounds differently
+        # from the gemm of longer blocks; a doubled row stays on gemm.
+        rows = len(pts)
+        mags = np.matmul(pts if rows > 1 else pts[[0, 0]], matrix,
+                         out=buf[:max(rows, 2)])[:rows]
+        np.abs(mags, out=mags)
+        mags.sort(axis=1)
+        num, den = mags[:, -1], mags[:, -1 - m]
+        exact_inf = (den == 0.0) & (num > 0.0)
+        if exact_inf.any():
+            return math.inf, None, tuple(pts[int(np.argmax(exact_inf))])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(den > 0.0, num / den, -np.inf)
+        i = int(np.argmax(ratios))
+        if best is None or ratios[i] > best[0]:
+            best = float(ratios[i]), tuple(float(p[i]) for p in params), tuple(pts[i])
+    return best
 
 
-def _ratio_at(point: np.ndarray, matrix: np.ndarray, m: int) -> float:
-    """:func:`_ratio_batch`'s ratio for one ``(1, k)`` point row, with the
-    same arithmetic but without the array bookkeeping of a batch."""
-    mags = np.abs(point @ matrix)[0]
-    mags.sort()
-    num, den = mags[-1], mags[-1 - m]
-    if den > 0.0:
-        return float(num / den)
-    return math.inf if num > 0.0 else -math.inf
+def _point_ratio(matrix: np.ndarray, m: int) -> Callable[[Sequence[float]], float]:
+    """The height ratio at one point, written into a reused ``(1, k)`` row."""
+    row, mags = np.empty((1, matrix.shape[0])), np.empty((1, matrix.shape[1]))
+
+    def ratio(point: Sequence[float]) -> float:
+        row[0] = point
+        np.abs(np.matmul(row, matrix, out=mags), out=mags)
+        mags.sort()
+        num, den = mags[0, -1], mags[0, -1 - m]
+        if den > 0.0:
+            return float(num / den)
+        return math.inf if num > 0.0 else -math.inf
+    return ratio
 
 
 def domain_search(generator: GeneratorMatrix, m: int, domain: FundamentalDomain,
@@ -540,15 +573,17 @@ def domain_search(generator: GeneratorMatrix, m: int, domain: FundamentalDomain,
     """Grid search plus local refinement over a fundamental domain.
 
     Returns a certified lower bound on the m-height (every evaluation is a
-    genuine codeword ratio).  Infinity is reported only when a sampled
+    genuine codeword ratio).  The grid is visited row-major -- ``v``, then
+    ``u`` on a triangle; ``alpha`` on an arc -- and its first maximum seeds
+    the refinement.  Infinity is reported at the first grid point whose
     denominator order statistic is exactly zero while the top one is not;
-    otherwise unboundedness is left to the exact engine.
+    otherwise unboundedness is left to the exact engine.  Working memory
+    beyond the ``resolution``-long parameter line is ``O(_GRID_CHUNK)``,
+    whatever the resolution.
     """
-    if not 1 <= m <= generator.n - 1:
-        raise InvalidParameterError(
-            f"m must be in [1, {generator.n - 1}], got {m}")
-    if resolution is not None and resolution < 2:
-        raise InvalidParameterError("resolution must be >= 2")
+    check_integer("m", m, 1, generator.n - 1)
+    if resolution is not None:
+        check_integer("resolution", resolution, 2)
 
     if isinstance(domain, ArcDomain):
         if generator.k != 2:
@@ -566,27 +601,19 @@ def domain_search(generator: GeneratorMatrix, m: int, domain: FundamentalDomain,
 
 def _search_arc(generator: GeneratorMatrix, m: int, domain: ArcDomain,
                 resolution: int) -> ExtendedHeight:
-    matrix = generator.matrix
     alphas = np.linspace(0.0, domain.upper, resolution)
-    dirs = np.column_stack([np.cos(alphas), np.sin(alphas)])
-    ratios, num, den = _ratio_batch(dirs, matrix, m)
+    blocks = (((a,), np.column_stack([np.cos(a), np.sin(a)]))
+              for a in np.split(alphas, range(_GRID_CHUNK, resolution, _GRID_CHUNK)))
+    best_val, params, witness = _grid_max(blocks, generator.matrix, m)
+    if params is None:
+        return ExtendedHeight(math.inf, witness=witness)
 
-    exact_inf = (den == 0.0) & (num > 0.0)
-    if exact_inf.any():
-        i = int(np.flatnonzero(exact_inf)[0])
-        return ExtendedHeight(math.inf, witness=tuple(dirs[i]))
-
-    best = int(np.argmax(ratios))
-    best_alpha = float(alphas[best])
-    best_val = float(ratios[best])
-
-    def f(alpha: float) -> float:
-        return _ratio_at(np.array([[math.cos(alpha), math.sin(alpha)]]), matrix, m)
-
+    ratio = _point_ratio(generator.matrix, m)
+    (best_alpha,) = params
     step = domain.upper / (resolution - 1)
     lo = max(0.0, best_alpha - step)
     hi = min(domain.upper, best_alpha + step)
-    x, fx = _golden_max(f, lo, hi)
+    x, fx = _golden_max(lambda t: ratio((math.cos(t), math.sin(t))), lo, hi)
     if fx > best_val:
         best_val, best_alpha = fx, x
     # abs: -inf (every sampled codeword vanished) reads as infinite.
@@ -596,27 +623,22 @@ def _search_arc(generator: GeneratorMatrix, m: int, domain: ArcDomain,
 
 def _search_triangle(generator: GeneratorMatrix, m: int, domain: TriangleDomain,
                      resolution: int) -> ExtendedHeight:
-    matrix = generator.matrix
     line = np.linspace(0.0, 1.0, resolution)
-    uu, vv = np.meshgrid(line, line)
-    uu, vv = uu.ravel(), vv.ravel()
-    keep = uu + vv <= 1.0 + ROUNDOFF_SLACK
-    uu, vv = uu[keep], vv[keep]
-    pts = domain.points(uu, vv)
-    ratios, num, den = _ratio_batch(pts, matrix, m)
+    blocks = (((uu, vv), domain.points(uu, vv))
+              for uu, vv in _triangle_grid(line, 1.0 + ROUNDOFF_SLACK))
+    best_val, params, witness = _grid_max(blocks, generator.matrix, m)
+    if params is None:
+        return ExtendedHeight(math.inf, witness=witness)
 
-    exact_inf = (den == 0.0) & (num > 0.0)
-    if exact_inf.any():
-        i = int(np.flatnonzero(exact_inf)[0])
-        return ExtendedHeight(math.inf, witness=tuple(pts[i]))
-
-    best = int(np.argmax(ratios))
-    bu, bv = float(uu[best]), float(vv[best])
-    best_val = float(ratios[best])
+    ratio = _point_ratio(generator.matrix, m)
+    verts = tuple(zip(domain.v1, domain.v2, domain.v3))
 
     def f(u: float, v: float) -> float:
-        return _ratio_at(domain.point(u, v)[None, :], matrix, m)
+        # domain.point's arithmetic, in Python floats.
+        w = 1.0 - u - v
+        return ratio([u * a + v * b + w * c for a, b, c in verts])
 
+    bu, bv = params
     cell = 1.0 / (resolution - 1)
     for _ in range(_REFINE_SWEEPS):
         lo = max(0.0, bu - cell)
@@ -630,7 +652,5 @@ def _search_triangle(generator: GeneratorMatrix, m: int, domain: TriangleDomain,
     refined = f(bu, bv)
     if refined > best_val:
         best_val = refined
-        witness = domain.point(bu, bv)
-    else:
-        witness = pts[best]
-    return ExtendedHeight(abs(best_val), witness=tuple(witness))   # as in _search_arc
+        witness = tuple(domain.point(bu, bv))
+    return ExtendedHeight(abs(best_val), witness=witness)   # as in _search_arc

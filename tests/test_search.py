@@ -1,6 +1,7 @@
 """Fundamental domains, ordering checks, monotonicity, and grid search."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,9 @@ from mheight import (
     polygonal_rank_index,
 )
 from mheight import search
-from mheight.codes import DUAL_DODECAHEDRAL, DUAL_ICOSAHEDRAL, DUAL_POLYGONAL
+from mheight.codes import DUAL_DODECAHEDRAL, DUAL_ICOSAHEDRAL, DUAL_POLYGONAL, from_columns
+
+import search_oracle
 
 SQRT5 = math.sqrt(5.0)
 
@@ -395,8 +398,15 @@ class TestDomainSearch:
         assert h.infinite
 
     def test_resolution_validation(self):
+        g, dom = dual_polygonal(4), polygonal_domain(4)
+        for m, resolution in ((1, 1), (2.5, 10), (True, 10), (np.float64(1.0), 10),
+                              (1, 300.0), (1, True), (1, np.float64(300.0))):
+            with pytest.raises(InvalidParameterError):
+                domain_search(g, m, dom, resolution)
+        assert (domain_search(g, np.int64(1), dom, np.int32(10))
+                == domain_search(g, 1, dom, 10))
         with pytest.raises(InvalidParameterError):
-            domain_search(dual_polygonal(4), 1, polygonal_domain(4), 1)
+            exact_mheight(g, True)
 
     def test_domain_type_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -422,3 +432,119 @@ class TestDomainSearch:
                 ok = den > 0
                 sampled = float(np.max(mags[ok, -1] / den[ok]))
                 assert sampled <= h.value + 1e-6 * max(1.0, h.value)
+
+
+def _oracle_search(g, m, dom, resolution):
+    if isinstance(dom, search.ArcDomain):
+        return search_oracle._search_arc(g, m, dom, resolution)
+    return search_oracle._search_triangle(g, m, dom, resolution)
+
+
+def _random_k3_codes(rng):
+    """Gaussian, small-integer and duplicated-column codes of full rank."""
+    codes = []
+    for trial in range(6):
+        n = int(rng.integers(4, 9))
+        if trial % 3 == 0:
+            cols = rng.normal(size=(n, 3))
+        elif trial % 3 == 1:
+            cols = rng.integers(-3, 4, size=(n, 3)).astype(float)
+        else:
+            cols = rng.normal(size=(n, 3))
+            cols[1] = cols[0]
+        if np.linalg.matrix_rank(cols) == 3:
+            codes.append(from_columns(cols))
+    return codes
+
+
+@pytest.fixture(params=[None, 7], ids=["default-chunk", "chunk-7"])
+def grid_chunk(request, monkeypatch):
+    """Runs a test at the shipped ``_GRID_CHUNK`` and at 7 points per block,
+    where ties and exact zeros fall across many block seams and some
+    blocks hold a single point."""
+    if request.param is not None:
+        monkeypatch.setattr(search, "_GRID_CHUNK", request.param)
+    return request.param
+
+
+class TestGridPassMatchesOracle:
+    """The chunked grid pass reproduces the one-pass search bit for bit:
+    value and witness are compared with ``==``."""
+
+    def assert_same(self, g, m, dom, resolution):
+        new = domain_search(g, m, dom, resolution)
+        old = _oracle_search(g, m, dom, resolution)
+        assert (new.value, new.witness) == (old.value, old.witness), (g.family, m, resolution)
+        return new
+
+    def test_polyhedral_codes(self, grid_chunk):
+        # At 7 points per block the two large grids take about 0.3 s per
+        # search, so that run keeps them to one m per code.
+        for g, dom, big_ms in ((dual_icosahedral(), icosahedral_domain(), (3,)),
+                               (dual_dodecahedral(), dodecahedral_domain(), (5,))):
+            for m in range(1, g.n):
+                for res in (2, 3, 50, 300, 400):
+                    if res < 300 or grid_chunk is None or m in big_ms:
+                        self.assert_same(g, m, dom, res)
+
+    def test_random_k3_codes_on_both_triangles(self, grid_chunk):
+        rng = np.random.default_rng(14)
+        for g in _random_k3_codes(rng):
+            for dom in (icosahedral_domain(), dodecahedral_domain()):
+                for m in range(1, g.n):
+                    for res in (2, 7, 61):
+                        self.assert_same(g, m, dom, res)
+
+    def test_exact_infinity_in_a_later_block(self, grid_chunk):
+        # Two copies of e1 vanish exactly where w = 1 - u - v is exactly 0,
+        # first at the last point (u, v) = (1, 0) of grid row 0; the random
+        # columns never vanish on the grid.
+        rng = np.random.default_rng(5)
+        dom = TriangleDomain((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
+        cols = np.vstack([rng.normal(size=(5, 3)), [(1.0, 0.0, 0.0)] * 2])
+        g = from_columns(cols)
+        for res in (3, 50, 61):
+            h = self.assert_same(g, g.n - 2, dom, res)
+            assert h.infinite and h.witness == (0.0, 1.0, 0.0)
+            assert not self.assert_same(g, g.n - 3, dom, res).infinite
+
+    def test_ties_keep_the_first_grid_point(self, grid_chunk):
+        # Four equal columns dominate every point of this triangle, so for
+        # m <= 3 every grid ratio is exactly 1 and the refinement cannot
+        # beat it: the first grid point, (u, v) = (0, 0), is the witness.
+        dom = TriangleDomain((1.0, 0.2, 0.2), (0.2, 1.0, 0.2), (0.2, 0.2, 1.0))
+        g = from_columns([(1.0, 1.0, 1.0)] * 4 + [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                                  (0.0, 0.0, 1.0)])
+        for m in (1, 3):
+            for res in (3, 50):
+                h = self.assert_same(g, m, dom, res)
+                assert h.value == 1.0 and h.witness == dom.v3
+
+    def test_polygonal_and_random_k2_codes_on_arcs(self, grid_chunk):
+        rng = np.random.default_rng(2)
+        ns = range(3, 65) if grid_chunk is None else (3, 4, 5, 8, 13, 64)
+        for n in ns:
+            g, dom = dual_polygonal(n), polygonal_domain(n)
+            for m in sorted({1, 2, n // 2, n - 2, n - 1} - {0}):
+                self.assert_same(g, m, dom, 10_000 if grid_chunk is None else 600)
+        for trial in range(8):
+            n = int(rng.integers(3, 9))
+            g = from_columns(rng.normal(size=(n, 2)) if trial % 2
+                             else rng.integers(-2, 3, size=(n, 2)).astype(float))
+            dom = polygonal_domain(n)
+            for m in range(1, n):
+                for res in (2, 8, 4097):
+                    self.assert_same(g, m, dom, res)
+
+
+def test_search_memory_is_bounded_by_the_chunk():
+    # A 3000 x 3000 grid keeps 4.5 M points; building its arrays whole
+    # takes hundreds of MB.
+    g, dom = dual_dodecahedral(), dodecahedral_domain()
+    tracemalloc.start()
+    try:
+        domain_search(g, 5, dom, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
