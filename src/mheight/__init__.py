@@ -4,7 +4,7 @@ The m-height of a real linear code is, over all nonzero codewords, the
 largest ratio between the top absolute entry and the (m+1)-th largest one.
 This package constructs the dual polygonal, dual icosahedral, and dual
 dodecahedral generator matrices, computes their m-height profiles by three
-mutually checking routes (closed forms, exact LP enumeration, and
+mutually checking routes (closed forms, an exact vertex-pool engine, and
 fundamental-domain search), and converts heights into outlier-handling
 capability statements.
 """
@@ -40,17 +40,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .heights import ExtendedHeight, MHeightProfile
-from .lp import (
-    Configuration,
-    LPProblem,
-    LPResult,
-    configuration_lp,
-    exact_mheight,
-    exact_profile,
-    iter_configurations,
-    lp_family_size,
-    solve_lp,
-)
+from .lp import exact_mheight, exact_profile
 from .search import (
     ArcDomain,
     MonotonicityReport,
@@ -72,19 +62,17 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcDomain", "CapabilitySpec", "CapacityError", "Codeword",
-    "Configuration", "CUSTOM", "DUAL_DODECAHEDRAL", "DUAL_ICOSAHEDRAL",
-    "DUAL_POLYGONAL", "ExtendedHeight", "Family", "GeneratorMatrix",
-    "InvalidParameterError", "LPProblem", "LPResult", "MHeightError",
-    "MHeightProfile", "MonotonicityReport",
+    "ArcDomain", "CapabilitySpec", "CapacityError", "Codeword", "CUSTOM",
+    "DUAL_DODECAHEDRAL", "DUAL_ICOSAHEDRAL", "DUAL_POLYGONAL",
+    "ExtendedHeight", "Family", "GeneratorMatrix", "InvalidParameterError",
+    "MHeightError", "MHeightProfile", "MonotonicityReport",
     "NoFiniteRatioError", "PHI", "RankReport", "TriangleDomain",
     "UnsupportedFamilyError", "Violation", "check_spec", "closed_profile",
-    "configuration_lp", "dodecahedral_candidates", "dodecahedral_domain",
-    "dodecahedral_height", "dodecahedral_rank_check", "domain_search",
-    "dual_dodecahedral", "dual_icosahedral", "dual_polygonal", "encode",
-    "exact_mheight", "exact_profile", "feasible_pairs", "from_columns",
+    "dodecahedral_candidates", "dodecahedral_domain", "dodecahedral_height",
+    "dodecahedral_rank_check", "domain_search", "dual_dodecahedral",
+    "dual_icosahedral", "dual_polygonal", "encode", "exact_mheight",
+    "exact_profile", "feasible_pairs", "from_columns",
     "icosahedral_chain_check", "icosahedral_domain", "icosahedral_height",
-    "is_mds", "iter_configurations", "lp_family_size", "monotonicity_check",
-    "polygonal_domain", "polygonal_height", "polygonal_order_indices",
-    "polygonal_rank_index", "required_ratio", "solve_lp",
+    "is_mds", "monotonicity_check", "polygonal_domain", "polygonal_height",
+    "polygonal_order_indices", "polygonal_rank_index", "required_ratio",
 ]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .codes import check_integer
 from .errors import InvalidParameterError, NoFiniteRatioError
 from .heights import ExtendedHeight, MHeightProfile
 
@@ -30,8 +31,8 @@ class CapabilitySpec:
     Delta: float
 
     def __post_init__(self) -> None:
-        if self.tau < 0 or self.sigma < 0:
-            raise InvalidParameterError("tau and sigma must be nonnegative")
+        check_integer("tau", self.tau, 0)
+        check_integer("sigma", self.sigma, 0)
         if not self.delta > 0:
             raise InvalidParameterError("delta must be positive")
         if not self.Delta > self.delta:
@@ -79,11 +80,8 @@ def feasible_pairs(profile: MHeightProfile, ratio: float) -> list[tuple[int, int
 
 def check_spec(profile: MHeightProfile, spec: CapabilitySpec) -> bool:
     """True iff the profile supports the claimed capability."""
-    order = spec.order
-    if not 1 <= order <= profile.max_m:
-        raise InvalidParameterError(
-            f"2*tau + sigma must be in [1, {profile.max_m}], got {order}")
-    height = profile.height(order)
+    check_integer("2*tau + sigma", spec.order, 1, profile.max_m)
+    height = profile.height(spec.order)
     if height.infinite:
         return False
     return spec.ratio >= required_ratio(height)

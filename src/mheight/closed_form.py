@@ -23,10 +23,11 @@ from .codes import (
     PHI,
     Family,
     canonical_direction,
+    check_integer,
     dual_dodecahedral,
     dual_icosahedral,
 )
-from .errors import InvalidParameterError, UnsupportedFamilyError
+from .errors import UnsupportedFamilyError
 from .heights import ExtendedHeight, MHeightProfile
 from .search import dodecahedral_candidates, dodecahedral_domain
 from .tolerances import TIE_TOL
@@ -46,10 +47,8 @@ def polygonal_height(n: int, m: int) -> ExtendedHeight:
     For ``m = n-1`` the height is infinite: a direction orthogonal to one
     column zeroes the smallest order statistic.
     """
-    if n < 2:
-        raise InvalidParameterError(f"need n >= 2, got {n}")
-    if not 1 <= m <= n - 1:
-        raise InvalidParameterError(f"m must be in [1, {n - 1}], got {m}")
+    check_integer("n", n, 2)
+    check_integer("m", m, 1, n - 1)
     if m == n - 1:
         return ExtendedHeight(math.inf, witness=(0.0, 1.0))
     half = math.pi / (2 * n)
@@ -64,8 +63,7 @@ def polygonal_height(n: int, m: int) -> ExtendedHeight:
 
 def icosahedral_height(m: int) -> ExtendedHeight:
     """Exact m-height of the icosahedral axis code (n=6, k=3)."""
-    if not 1 <= m <= 5:
-        raise InvalidParameterError(f"m must be in [1, 5], got {m}")
+    check_integer("m", m, 1, 5)
     g = dual_icosahedral().columns
     if m in (1, 2):
         return ExtendedHeight(_SQRT5, witness=tuple(g[0]))
@@ -133,8 +131,7 @@ def dodecahedral_height(m: int) -> ExtendedHeight:
     Witnesses for ``m = 3..7`` are resolved by evaluating the six candidate
     maximizer points.
     """
-    if not 1 <= m <= 9:
-        raise InvalidParameterError(f"m must be in [1, 9], got {m}")
+    check_integer("m", m, 1, 9)
     return _dodecahedral_heights([m])[0]
 
 

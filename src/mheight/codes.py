@@ -57,8 +57,7 @@ class Family:
         if self.kind not in _KNOWN_KINDS:
             raise InvalidParameterError(f"unknown family kind {self.kind!r}")
         if self.kind == DUAL_POLYGONAL:
-            if self.n is None or self.n < 2:
-                raise InvalidParameterError("polygonal family needs n >= 2")
+            check_integer("n", self.n, 2)
 
     @property
     def label(self) -> str:
@@ -112,6 +111,7 @@ class GeneratorMatrix:
         return self._matrix.shape[1]
 
     def column(self, j: int) -> np.ndarray:
+        check_integer("j", j, 0, self.n - 1)
         return self._matrix[:, j]
 
     @property
@@ -190,8 +190,7 @@ class Codeword:
         Returns ``inf`` when the denominator is zero and the codeword is
         nonzero; a zero codeword has no defined height.
         """
-        if not 1 <= m <= self.n - 1:
-            raise InvalidParameterError(f"m must be in [1, {self.n - 1}], got {m}")
+        check_integer("m", m, 1, self.n - 1)
         num = float(self.order_stats[0])
         den = float(self.order_stats[m])
         if den == 0.0:
@@ -203,11 +202,17 @@ class Codeword:
 
 def check_integer(name: str, value: object, lo: int, hi: int | None = None) -> None:
     """Raise unless ``value`` is an int or numpy integer, not a bool, in
-    ``[lo, hi]`` (``hi=None``: no upper bound)."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < lo or (hi is not None and value > hi)):
+    ``[lo, hi]`` (``hi=None``: no upper bound).
+
+    Every public integer parameter is checked here, so the messages share
+    one format: ``m must be in [1, 5], got 6`` for a value out of range, and
+    ``m must be an integer in [1, 5], got 2.5`` for one of another type.
+    """
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or value < lo or (hi is not None and value > hi):
         bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise InvalidParameterError(f"{name} must be an integer {bounds}, got {value!r}")
+        kind, got = ("", int(value)) if integer else ("an integer ", repr(value))
+        raise InvalidParameterError(f"{name} must be {kind}{bounds}, got {got}")
 
 
 def encode(generator: GeneratorMatrix, u: Sequence[float] | np.ndarray) -> Codeword:
@@ -225,8 +230,7 @@ def encode(generator: GeneratorMatrix, u: Sequence[float] | np.ndarray) -> Codew
 
 def dual_polygonal(n: int) -> GeneratorMatrix:
     """k=2 generator whose columns are unit vectors at angles ``pi*j/n``."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidParameterError(f"dual_polygonal needs an integer n >= 2, got {n!r}")
+    check_integer("n", n, 2)
     theta = np.pi * np.arange(n) / n
     mat = np.vstack([np.cos(theta), np.sin(theta)])
     return GeneratorMatrix(mat, Family(DUAL_POLYGONAL, int(n)))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .codes import Family
+from .codes import Family, check_integer
 from .errors import InvalidParameterError
 from .tolerances import HEIGHT_SLACK
 
@@ -81,9 +81,7 @@ class MHeightProfile:
         return len(self.heights)
 
     def height(self, m: int) -> ExtendedHeight:
-        if not 1 <= m <= len(self.heights):
-            raise InvalidParameterError(
-                f"m must be in [1, {len(self.heights)}], got {m}")
+        check_integer("m", m, 1, len(self.heights))
         return self.heights[m - 1]
 
     def values(self) -> tuple[float, ...]:

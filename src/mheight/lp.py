@@ -14,7 +14,7 @@ the (m+1)-th magnitude, and the signs of the top-m entries.  Normalizing the
 
 with the sign of coordinate ``b`` fixed to +1 (codewords come in +-c pairs,
 so this loses nothing); an unbounded configuration certifies an infinite
-height.  :func:`solve_lp` solves one such LP by basic-solution enumeration.
+height.
 
 Each bounded optimum is a vertex ``u`` with ``u . g_j = +-1`` on ``k``
 independent columns (Roth's configuration-LP view), and each such vertex
@@ -25,17 +25,16 @@ polynomial in ``n`` for fixed ``k``.  Pool rows come in ``+-u`` pairs, so
 ``+1``; two sweeps over the rows near the maximum and their partners then
 find every witness at once.  All three passes go a bounded chunk at a time,
 so memory is one chunk plus the rows kept.  A rank-deficient generator
-(no independent ``k``-subset) has no pool: only then are its heights solved
-one configuration LP at a time, by the reference engine that is also the
-tests' oracle.
+(no independent ``k``-subset) has no pool: only then does the reference
+engine solve its configuration LPs one at a time, each by basic-solution
+enumeration in :func:`_solve_lp`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,101 +52,12 @@ _MAX_ROWS = 10_000
 _MAX_REFERENCE_LPS = 100_000_000
 _MAX_SUBSETS = 2_000_000
 
-OPTIMAL = "optimal"
-UNBOUNDED = "unbounded"
-INFEASIBLE = "infeasible"
-
-
-@dataclass(frozen=True)
-class LPProblem:
-    """Maximize ``objective . u`` over ``a . u = r`` and ``a . u >= r`` rows."""
-
-    objective: tuple[float, ...]
-    eq_constraints: tuple[tuple[tuple[float, ...], float], ...] = ()
-    ineq_constraints: tuple[tuple[tuple[float, ...], float], ...] = ()
-
-    def __post_init__(self) -> None:
-        obj = tuple(float(x) for x in self.objective)
-        if not obj:
-            raise InvalidParameterError("objective must have dimension >= 1")
-        object.__setattr__(self, "objective", obj)
-        for name in ("eq_constraints", "ineq_constraints"):
-            rows = []
-            for a, r in getattr(self, name):
-                vec = tuple(float(x) for x in a)
-                if len(vec) != len(obj):
-                    raise InvalidParameterError(
-                        f"constraint dimension {len(vec)} != objective dimension {len(obj)}")
-                rows.append((vec, float(r)))
-            object.__setattr__(self, name, tuple(rows))
-        values = [*obj]
-        for a, r in (*self.eq_constraints, *self.ineq_constraints):
-            values.extend(a)
-            values.append(r)
-        if not all(math.isfinite(v) for v in values):
-            raise InvalidParameterError("LP coefficients must be finite")
-
-    @property
-    def dim(self) -> int:
-        return len(self.objective)
-
-
-@dataclass(frozen=True)
-class LPResult:
-    """Outcome of :func:`solve_lp`.
-
-    ``optimal``: ``value`` and a maximizing ``point``.
-    ``unbounded``: an improving feasible recession ``ray``.
-    ``infeasible``: nothing else set.
-    """
-
-    status: str
-    value: float | None = None
-    point: tuple[float, ...] | None = None
-    ray: tuple[float, ...] | None = None
-
-    @classmethod
-    def optimal(cls, value: float, point: np.ndarray) -> "LPResult":
-        return cls(OPTIMAL, value=float(value), point=tuple(float(x) for x in point))
-
-    @classmethod
-    def unbounded(cls, ray: np.ndarray) -> "LPResult":
-        return cls(UNBOUNDED, ray=tuple(float(x) for x in ray))
-
-    @classmethod
-    def infeasible(cls) -> "LPResult":
-        return cls(INFEASIBLE)
-
-
 # Reference-solver floors, on unit-norm rows.
 _ZERO_ROW = 1e-12       # a shorter row is zero
 _DET_FLOOR = 1e-13      # |det| at or below it: a singular active subsystem
 _POINT_CAP = 1e14       # a vertex candidate this large is discarded
 _RAY_FLOOR = 1e-9       # null-direction norm, or relative singular value
 _SVD_FLOOR = 1e-10      # relative singular value counted in the rank
-
-
-def _collect_rows(problem: LPProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Normalize rows to unit coefficient norm; screen zero rows.
-
-    Returns ``(A, rhs, is_eq, feasible_so_far)``; a zero row with an
-    unsatisfiable right-hand side makes the whole problem infeasible (this
-    covers the degenerate equality ``0 . u = 1`` by plain semantics).
-    """
-    rows, rhs, eq_flags = [], [], []
-    for is_eq, group in ((True, problem.eq_constraints), (False, problem.ineq_constraints)):
-        for a, r in group:
-            vec = np.array(a, dtype=float)
-            nrm = float(np.linalg.norm(vec))
-            if nrm <= _ZERO_ROW:
-                if (abs(r) if is_eq else r) > FEAS_TOL:
-                    return np.empty((0, problem.dim)), np.empty(0), np.empty(0, bool), False
-                continue
-            rows.append(vec / nrm)
-            rhs.append(r / nrm)
-            eq_flags.append(is_eq)
-    return (np.array(rows).reshape(-1, problem.dim), np.array(rhs, dtype=float),
-            np.array(eq_flags, dtype=bool), True)
 
 
 def _vertex_candidates(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -213,7 +123,7 @@ def _satisfied(residuals: np.ndarray, is_eq: np.ndarray) -> np.ndarray:
 
 
 def _enumerate_core(A: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray,
-                    obj: np.ndarray) -> LPResult:
+                    obj: np.ndarray) -> tuple[float, np.ndarray] | None:
     """Solve a full-row-rank-reduced LP by basic-solution enumeration.
 
     Preconditions: rows span the whole (reduced) space, so the feasible set
@@ -222,11 +132,11 @@ def _enumerate_core(A: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray,
     """
     points = _vertex_candidates(A, rhs)
     if points.shape[0] == 0:
-        return LPResult.infeasible()
+        return None
 
     feasible = _satisfied(points @ A.T - rhs, is_eq)
     if not feasible.any():
-        return LPResult.infeasible()
+        return None
 
     vals = points[feasible] @ obj
     best = int(np.argmax(vals))
@@ -237,36 +147,33 @@ def _enumerate_core(A: np.ndarray, rhs: np.ndarray, is_eq: np.ndarray,
     if rays.shape[0]:
         improving = (rays @ obj > FEAS_TOL) & _satisfied(rays @ A.T, is_eq)
         if improving.any():
-            return LPResult.unbounded(rays[int(np.flatnonzero(improving)[0])])
+            return math.inf, rays[int(np.flatnonzero(improving)[0])]
 
-    return LPResult.optimal(best_val, best_point)
+    return best_val, best_point
 
 
-def solve_lp(problem: LPProblem) -> LPResult:
-    """Exact optimum of a small dense LP by basic-solution enumeration.
+def _solve_lp(rows: np.ndarray, rhs: np.ndarray, n_eq: int,
+              objective: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """Maximize ``objective . u`` over ``rows[i] . u = rhs[i]`` for the first
+    ``n_eq`` rows and ``rows[i] . u >= rhs[i]`` for the rest.
 
-    Raises :class:`CapacityError` beyond ``dim = 8`` or 10^4 constraints;
-    the enumerative approach is intended for small problems only.
-    Deterministic: identical problems yield identical results, and of two
-    optima within ``1e-9`` either may be reported.
+    Returns ``(value, point)`` at an optimum, ``(inf, ray)`` along an
+    improving feasible ray, or None if infeasible.  Rows are scaled to unit
+    norm; a zero row is dropped, or makes the LP infeasible if its
+    right-hand side cannot be met (``0 . u = 1``, say).
     """
-    dim = problem.dim
-    if dim > _MAX_DIM:
-        raise CapacityError(f"LP dimension {dim} exceeds limit {_MAX_DIM}")
-    n_rows = len(problem.eq_constraints) + len(problem.ineq_constraints)
-    if n_rows > _MAX_ROWS:
-        raise CapacityError(f"{n_rows} constraints exceed limit {_MAX_ROWS}")
-
-    A, rhs, is_eq, ok = _collect_rows(problem)
-    if not ok:
-        return LPResult.infeasible()
-    obj = np.array(problem.objective, dtype=float)
+    is_eq = np.arange(len(rows)) < n_eq
+    norms = np.array([np.linalg.norm(row) for row in rows])
+    keep = norms > _ZERO_ROW
+    if (np.where(is_eq, np.abs(rhs), rhs)[~keep] > FEAS_TOL).any():
+        return None
+    A, rhs, is_eq = rows[keep] / norms[keep, None], rhs[keep] / norms[keep], is_eq[keep]
 
     if A.shape[0] == 0:
-        nrm = float(np.linalg.norm(obj))
+        nrm = float(np.linalg.norm(objective))
         if nrm > _ZERO_ROW:
-            return LPResult.unbounded(obj / nrm)
-        return LPResult.optimal(0.0, np.zeros(dim))
+            return math.inf, objective / nrm
+        return 0.0, np.zeros(len(objective))
 
     # Reduce to the span of the constraint rows.  Directions orthogonal to
     # every row are free: if the objective has such a component the problem
@@ -275,92 +182,17 @@ def solve_lp(problem: LPProblem) -> LPResult:
     _, svals, vt = np.linalg.svd(A, full_matrices=True)
     rank = int(np.sum(svals > _SVD_FLOOR * max(1.0, float(svals[0]))))
     basis = vt[:rank].T                      # (dim, rank)
-    obj_in = basis.T @ obj
-    obj_out = obj - basis @ obj_in
+    obj_in = basis.T @ objective
+    obj_out = objective - basis @ obj_in
 
     A_red = A @ basis                        # row norms are preserved
     if float(np.linalg.norm(obj_out)) > FEAS_TOL:
-        probe = _enumerate_core(A_red, rhs, is_eq, np.zeros(rank))
-        if probe.status == INFEASIBLE:
-            return LPResult.infeasible()
-        return LPResult.unbounded(obj_out / np.linalg.norm(obj_out))
+        if _enumerate_core(A_red, rhs, is_eq, np.zeros(rank)) is None:
+            return None
+        return math.inf, obj_out / np.linalg.norm(obj_out)
 
     result = _enumerate_core(A_red, rhs, is_eq, obj_in)
-    if result.status == OPTIMAL:
-        return LPResult.optimal(result.value, basis @ np.array(result.point))
-    if result.status == UNBOUNDED:
-        return LPResult.unbounded(basis @ np.array(result.ray))
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Configuration family
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """One member of the LP family for ``exact_mheight``.
-
-    ``top`` is the claimed top-m coordinate set, ``max_index`` the claimed
-    largest-magnitude coordinate (in ``top``), ``next_index`` the claimed
-    (m+1)-th coordinate (outside ``top``; its sign is fixed positive), and
-    ``signs`` the claimed signs of the ``top`` entries.
-    """
-
-    top: tuple[int, ...]
-    max_index: int
-    next_index: int
-    signs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        top = tuple(int(j) for j in self.top)
-        if len(set(top)) != len(top):
-            raise InvalidParameterError("top coordinate set has repeats")
-        if self.max_index not in top:
-            raise InvalidParameterError("max_index must lie in the top set")
-        if self.next_index in top:
-            raise InvalidParameterError("next_index must lie outside the top set")
-        if len(self.signs) != len(top) or any(s not in (-1.0, 1.0) for s in self.signs):
-            raise InvalidParameterError("signs must map each top coordinate to +-1")
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "signs", tuple(float(s) for s in self.signs))
-
-
-def lp_family_size(n: int, m: int) -> int:
-    """Number of LPs in the family: ``C(n, m) * m * 2^m``.
-
-    Counted per ``(top, max_index, signs)`` triple; the choice of the
-    (m+1)-th coordinate is folded into each LP via its equality row.
-    """
-    return math.comb(n, m) * m * (1 << m)
-
-
-def iter_configurations(n: int, m: int) -> Iterator[Configuration]:
-    """Yield the full configuration family in deterministic order."""
-    indices = range(n)
-    for top in combinations(indices, m):
-        rest = [j for j in indices if j not in top]
-        for signs in product((1.0, -1.0), repeat=m):
-            for a in top:
-                for b in rest:
-                    yield Configuration(top, a, b, signs)
-
-
-def configuration_lp(generator: GeneratorMatrix, config: Configuration) -> LPProblem:
-    """Build the LP whose optimum is the configuration's best height ratio."""
-    cols = generator.columns
-    sign_of = dict(zip(config.top, config.signs))
-    objective = tuple(sign_of[config.max_index] * cols[config.max_index])
-    eq = ((tuple(cols[config.next_index]), 1.0),)
-    ineq: list[tuple[tuple[float, ...], float]] = []
-    for j in config.top:
-        ineq.append((tuple(sign_of[j] * cols[j]), 1.0))
-    for j in range(generator.n):
-        if j in sign_of or j == config.next_index:
-            continue
-        ineq.append((tuple(cols[j]), -1.0))
-        ineq.append((tuple(-cols[j]), -1.0))
-    return LPProblem(objective, eq, tuple(ineq))
+    return None if result is None else (result[0], basis @ result[1])
 
 
 # ---------------------------------------------------------------------------
@@ -533,27 +365,41 @@ def _mheight_pool(generator: GeneratorMatrix,
 
 
 def _mheight_reference(generator: GeneratorMatrix, m: int) -> ExtendedHeight:
-    """Literal per-configuration solve through :func:`solve_lp`."""
-    n = generator.n
-    if lp_family_size(n, m) * (n - m) > _MAX_REFERENCE_LPS:
+    """Literal per-configuration solve through :func:`_solve_lp`.
+
+    Configurations run over the top set, its signs, ``a`` and then ``b``.
+    Each LP's rows are ``g_b`` (the equality), the signed top columns, and
+    ``+g_j``, ``-g_j`` for every other ``j``.
+    """
+    n, k = generator.n, generator.k
+    if math.comb(n, m) * m * 2**m * (n - m) > _MAX_REFERENCE_LPS:
         raise CapacityError(
             f"configuration family for n={n}, m={m} is too large "
             "to solve one LP at a time")
-    best_val = -math.inf
-    best_point: tuple[float, ...] | None = None
-    for config in iter_configurations(n, m):
-        result = solve_lp(configuration_lp(generator, config))
-        if result.status == UNBOUNDED:
-            ray = canonical_direction(np.array(result.ray))
-            return ExtendedHeight(math.inf, witness=tuple(ray))
-        if result.status == OPTIMAL and result.value > best_val + TIE_TOL:
-            best_val = result.value
-            best_point = result.point
+    if 2 * n - m - 1 > _MAX_ROWS:
+        raise CapacityError(f"{2 * n - m - 1} constraints exceed limit {_MAX_ROWS}")
+    cols = generator.columns
+    rhs = np.repeat([1.0, -1.0], [1 + m, 2 * (n - m - 1)])
+    best_val, best_point = -math.inf, None
+    for top in combinations(range(n), m):
+        rest = [j for j in range(n) if j not in top]
+        others = [cols[rest[:i] + rest[i + 1:]] for i in range(len(rest))]
+        boxes = [np.stack([g, -g], axis=1).reshape(-1, k) for g in others]
+        for signs in product((1.0, -1.0), repeat=m):
+            signed = np.array(signs)[:, None] * cols[list(top)]
+            for i in range(m):
+                for b, box in zip(rest, boxes):
+                    rows = np.vstack([cols[b], signed, box])
+                    # An infeasible configuration reads as -inf.
+                    value, u = _solve_lp(rows, rhs, 1, signed[i]) or (-math.inf, None)
+                    if value == math.inf:
+                        return ExtendedHeight(value, witness=tuple(canonical_direction(u)))
+                    if value > best_val + TIE_TOL:
+                        best_val, best_point = value, u
     if best_point is None:
         # Any codeword with m+1 nonzero entries scales into some feasible
         # configuration, so every nonzero codeword has at most m of them:
         # its (m+1)-th order statistic is zero.
-        cols = generator.columns
         j = int(np.argmax(np.linalg.norm(cols, axis=1)))
         if not cols[j].any():
             raise InvalidParameterError(

@@ -48,8 +48,7 @@ class ArcDomain:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise InvalidParameterError("arc domain needs n >= 2")
+        check_integer("n", self.n, 2)
 
     @property
     def upper(self) -> float:
@@ -95,8 +94,7 @@ FundamentalDomain = ArcDomain | TriangleDomain
 
 
 def polygonal_domain(n: int) -> ArcDomain:
-    if n < 2:
-        raise InvalidParameterError("polygonal domain needs n >= 2")
+    check_integer("n", n, 2)
     return ArcDomain(int(n))
 
 
@@ -121,9 +119,6 @@ class Violation:
     label: str
     magnitude: float
 
-    def to_json_dict(self) -> dict:
-        return {"label": self.label, "magnitude": self.magnitude}
-
 
 @dataclass(frozen=True)
 class RankReport:
@@ -142,13 +137,6 @@ class RankReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_json_dict(self) -> dict:
-        return {
-            "point": list(self.point),
-            "perm": list(self.perm),
-            "violations": [v.to_json_dict() for v in self.violations],
-        }
-
 
 def polygonal_rank_index(n: int, k: int) -> int:
     """Index whose magnitude attains rank ``k`` (0-based) on the arc.
@@ -157,8 +145,8 @@ def polygonal_rank_index(n: int, k: int) -> int:
     reduced angles ``alpha, pi/n - alpha, pi/n + alpha, 2*pi/n - alpha, ...``
     giving the fixed index sequence ``0, 1, n-1, 2, n-2, ...``.
     """
-    if not 0 <= k <= n - 1:
-        raise InvalidParameterError(f"rank must be in [0, {n - 1}], got {k}")
+    check_integer("n", n, 2)
+    check_integer("rank", k, 0, n - 1)
     if k == 0:
         return 0
     if k % 2 == 1:
@@ -207,8 +195,7 @@ class _RuleCheck:
 
 
 def _check_alphas(n: int, alphas: np.ndarray) -> None:
-    if n < 2:
-        raise InvalidParameterError("need n >= 2")
+    check_integer("n", n, 2)
     upper = math.pi / (2 * n)
     bad = (alphas < -ROUNDOFF_SLACK) | (alphas > upper + ROUNDOFF_SLACK)
     if bad.any():
@@ -370,15 +357,6 @@ class MonotonicityReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family.label,
-            "ratio_index": self.ratio_index,
-            "expected": list(self.expected),
-            "asserted": self.asserted,
-            "violations": [v.to_json_dict() for v in self.violations],
-        }
-
 
 def _arc_ratio(n: int, m: int, alphas: np.ndarray) -> np.ndarray:
     mags = np.abs(np.cos(np.pi * np.arange(n)[None, :] / n - alphas[:, None]))
@@ -388,9 +366,7 @@ def _arc_ratio(n: int, m: int, alphas: np.ndarray) -> np.ndarray:
 
 def _polygonal_monotonicity(family: Family, m: int, res: int) -> MonotonicityReport:
     n = family.n
-    if not 1 <= m <= n - 2:
-        raise InvalidParameterError(
-            f"ratio index must be in [1, {n - 2}] for n={n}, got {m}")
+    check_integer("ratio index", m, 1, n - 2)
     expected = 1 if m % 2 == 0 else -1
     upper = math.pi / (2 * n)
     margin = max(10 * _FD_STEP, _EDGE_MARGIN * upper)
@@ -451,6 +427,7 @@ def _triangle_monotonicity(family: Family, j: int, res: int) -> MonotonicityRepo
             region = lambda uu, vv: vv >= cut * (1.0 - uu) + _CUT_MARGIN
         else:
             region = None
+    check_integer("ratio index", j, 1)
     if j not in signs:
         raise InvalidParameterError(
             f"ratio index {j} is not checkable for {family.label}")
@@ -495,8 +472,7 @@ def monotonicity_check(family: Family, j: int, grid_resolution: int) -> Monotoni
     the dodecahedral one.  Signs are asserted only where the centered
     finite difference (step 1e-6) exceeds 1e-8 in magnitude.
     """
-    if grid_resolution < 2:
-        raise InvalidParameterError("grid_resolution must be >= 2")
+    check_integer("grid_resolution", grid_resolution, 2)
     if family.kind == DUAL_POLYGONAL:
         return _polygonal_monotonicity(family, j, grid_resolution)
     if family.kind in (DUAL_ICOSAHEDRAL, DUAL_DODECAHEDRAL):
@@ -507,14 +483,13 @@ def monotonicity_check(family: Family, j: int, grid_resolution: int) -> Monotoni
 # ---------------------------------------------------------------------------
 # Direct search
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float,
-                iters: int = _REFINE_ITERS) -> tuple[float, float]:
+def _golden_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """Golden-section maximization on ``[lo, hi]``; returns ``(x, f(x))``."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(_REFINE_ITERS):
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)

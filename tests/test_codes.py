@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mheight
 from mheight import (
     PHI,
     GeneratorMatrix,
@@ -219,3 +220,52 @@ class TestGeneratorMatrix:
     def test_json_bad_document_is_invalid_parameter(self, doc):
         with pytest.raises(InvalidParameterError):
             GeneratorMatrix.from_json_dict(doc)
+
+
+_ICOSA = mheight.Family(mheight.DUAL_ICOSAHEDRAL)
+_POLY8 = mheight.Family(mheight.DUAL_POLYGONAL, 8)
+_POLY5 = dual_polygonal(5)
+
+#: (call, arguments, position, name) for every public integer parameter.
+_INTEGER_PARAMETERS = [
+    (lambda n: dual_polygonal(n).matrix.tolist(), (8,), 0, "n"),
+    (lambda j: dual_icosahedral().column(j).tolist(), (2,), 0, "j"),
+    (mheight.Family, (mheight.DUAL_POLYGONAL, 8), 1, "n"),
+    (mheight.ArcDomain, (8,), 0, "n"),
+    (mheight.polygonal_domain, (8,), 0, "n"),
+    (mheight.polygonal_height, (8, 2), 0, "n"),
+    (mheight.polygonal_height, (8, 2), 1, "m"),
+    (mheight.icosahedral_height, (2,), 0, "m"),
+    (mheight.dodecahedral_height, (2,), 0, "m"),
+    (mheight.polygonal_rank_index, (8, 2), 0, "n"),
+    (mheight.polygonal_rank_index, (8, 2), 1, "rank"),
+    (mheight.polygonal_order_indices, (8, 0.1), 0, "n"),
+    (mheight.monotonicity_check, (_POLY8, 2, 20), 1, "ratio index"),
+    (mheight.monotonicity_check, (_ICOSA, 2, 20), 1, "ratio index"),
+    (mheight.monotonicity_check, (_ICOSA, 2, 20), 2, "grid_resolution"),
+    (mheight.CapabilitySpec, (1, 0, 1.0, 9.0), 0, "tau"),
+    (mheight.CapabilitySpec, (1, 0, 1.0, 9.0), 1, "sigma"),
+    (mheight.closed_profile(_ICOSA).height, (2,), 0, "m"),
+    (encode(dual_icosahedral(), (1.0, 0.5, 0.25)).height, (2,), 0, "m"),
+    (mheight.exact_mheight, (_POLY5, 2), 1, "m"),
+    (mheight.domain_search, (_POLY5, 2, mheight.polygonal_domain(5), 10), 1, "m"),
+    (mheight.domain_search, (_POLY5, 2, mheight.polygonal_domain(5), 10), 3, "resolution"),
+]
+
+
+@pytest.mark.parametrize("call,args,position,name", _INTEGER_PARAMETERS,
+                         ids=[f"{getattr(c, '__name__', 'lambda')}-{name}"
+                              for c, _, _, name in _INTEGER_PARAMETERS])
+def test_integer_parameters_are_typed(call, args, position, name):
+    """Floats, bools and strings are rejected with one message format;
+    numpy integers answer as Python ints do."""
+    def with_value(value):
+        return (*args[:position], value, *args[position + 1:])
+
+    good = args[position]
+    assert call(*with_value(np.int64(good))) == call(*args)
+    for bad in (good + 0.5, float(good), True, str(good)):
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be an integer "):
+            call(*with_value(bad))
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be (in|>=) .*, got -7$"):
+        call(*with_value(-7))

@@ -1,4 +1,9 @@
-"""LP engine: solver contract, configuration family, exact heights."""
+"""LP engine: solver contract, configuration family, exact heights.
+
+The general-LP API (``solve_lp``, ``LPProblem``, the configuration family)
+lives in ``lp_oracle``; the library's private array solver and reference
+engine are checked against it.
+"""
 
 import math
 
@@ -7,28 +12,35 @@ import pytest
 
 from mheight import (
     CapacityError,
-    Configuration,
     GeneratorMatrix,
     InvalidParameterError,
-    LPProblem,
+    MHeightError,
     closed_profile,
-    configuration_lp,
     dual_dodecahedral,
     dual_icosahedral,
     dual_polygonal,
     exact_mheight,
     exact_profile,
     from_columns,
-    iter_configurations,
-    lp_family_size,
     polygonal_height,
-    solve_lp,
 )
 import mheight.lp as lp_module
+import lp_oracle
 import pool_oracle
+from lp_oracle import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    Configuration,
+    LPProblem,
+    configuration_lp,
+    iter_configurations,
+    lp_family_size,
+    solve_lp,
+)
 from mheight import encode, is_mds
 from mheight.codes import Family
-from mheight.lp import FEAS_TOL, OPTIMAL, UNBOUNDED, INFEASIBLE
+from mheight.lp import FEAS_TOL
 
 SQRT5 = math.sqrt(5.0)
 
@@ -131,6 +143,23 @@ class TestSolveLpRandomized:
             if status == OPTIMAL:
                 assert ours.value == pytest.approx(-ref.fun, abs=1e-7, rel=1e-7)
 
+    def test_array_solver_matches_oracle(self):
+        seen = set()
+        for problem in self._random_problems(250):
+            want = solve_lp(problem)
+            eq, ge = problem.eq_constraints, problem.ineq_constraints
+            rows = np.array([a for a, _ in (*eq, *ge)])
+            rhs = np.array([r for _, r in (*eq, *ge)])
+            got = lp_module._solve_lp(rows, rhs, len(eq), np.array(problem.objective))
+            seen.add(want.status)
+            if want.status == INFEASIBLE:
+                assert got is None
+            elif want.status == UNBOUNDED:
+                assert got[0] == math.inf and tuple(got[1]) == want.ray
+            else:
+                assert got[0] == want.value and tuple(got[1]) == want.point
+        assert seen == {OPTIMAL, UNBOUNDED, INFEASIBLE}
+
     def test_result_invariants(self):
         for problem in self._random_problems(250):
             res = solve_lp(problem)
@@ -161,6 +190,18 @@ class TestConfigurationFamily:
         configs = list(iter_configurations(n, m))
         assert len(configs) == lp_family_size(n, m) * (n - m)
         assert len(set(configs)) == len(configs)
+
+    @pytest.mark.parametrize("n,m", [(4, 1), (4, 2), (5, 3)])
+    def test_reference_solves_whole_family(self, n, m, monkeypatch):
+        calls = []
+        solve = lp_module._solve_lp
+
+        def spy(*args):
+            calls.append(args)
+            return solve(*args)
+        monkeypatch.setattr(lp_module, "_solve_lp", spy)
+        assert not lp_module._mheight_reference(dual_polygonal(n), m).infinite
+        assert len(calls) == math.comb(n, m) * m * 2 ** m * (n - m)
 
     def test_configuration_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -476,6 +517,84 @@ class TestInvarianceProperties:
                 assert a.infinite == b.infinite, (mat, m)
                 if not a.infinite:
                     assert abs(a.value - b.value) <= 1e-7 * max(1.0, b.value), (mat, m)
+
+
+def _reference_codes(kind):
+    """Codes for the differential test against ``lp_oracle``."""
+    if kind == "special":
+        return [from_columns(cols) for cols in (
+            [(1.0, 0.0), (0.0, 1.0), (0.0, 0.0)],
+            [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.0, 0.0)],
+            [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 1.0, 1.0),
+             (0.0, 0.0, 0.0)],
+            [(1.0, 0.0), (2.0, 0.0), (0.0, 0.0)],
+            [(0.0, 0.0), (1.0, 2.0), (0.0, 0.0), (-2.0, -4.0)],
+            [(0.0, 0.0)] * 3,
+        )] + [dual_icosahedral(), dual_polygonal(5), dual_polygonal(6)]
+    rng = np.random.default_rng({"rank-deficient": 21, "full-rank": 22}[kind])
+    if kind == "rank-deficient":
+        # G = B H with B k x r and H r x n, so G has rank r < k.
+        shapes = {(2, 1, 3): 8, (2, 1, 4): 6, (2, 1, 5): 1, (3, 1, 4): 6, (3, 1, 5): 1,
+                  (3, 2, 4): 12, (3, 2, 5): 3, (4, 1, 5): 3, (4, 2, 5): 3, (4, 3, 5): 5}
+        return [from_columns((rng.normal(size=(k, r)) @ rng.normal(size=(r, n))).T)
+                for (k, r, n), count in shapes.items() for _ in range(count)]
+    # Half Gaussian, half small-integer columns.
+    shapes = {(2, 3): 5, (2, 4): 5, (2, 5): 3, (3, 4): 12, (3, 5): 3, (4, 5): 5}
+    return [from_columns(cols) for (k, n), count in shapes.items() for _ in range(count)
+            for cols in (rng.normal(size=(n, k)), rng.integers(-2, 3, size=(n, k)).astype(float))]
+
+
+def _reference_outcome(reference, generator, m):
+    try:
+        h = reference(generator, m)
+    except MHeightError as exc:
+        return type(exc), str(exc)
+    return h.value, h.witness
+
+
+class TestReferenceMatchesOracle:
+    """The array reference engine answers exactly as the configuration LPs
+    built and solved through ``lp_oracle``: equal values and witnesses, and
+    equal errors."""
+
+    @pytest.mark.parametrize("kind", ["rank-deficient", "full-rank", "special"])
+    def test_heights_equal(self, kind):
+        outcomes = set()
+        for g in _reference_codes(kind):
+            for m in range(1, g.n):
+                got = _reference_outcome(lp_module._mheight_reference, g, m)
+                assert got == _reference_outcome(lp_oracle._mheight_reference, g, m), (g.matrix, m)
+                outcomes.add("error" if isinstance(got[0], type) else math.isinf(got[0]))
+        assert outcomes == ({"error", False, True} if kind == "special" else {False, True})
+
+    def test_corpus_size(self):
+        assert sum(g.n - 1 for kind in ("rank-deficient", "full-rank", "special")
+                   for g in _reference_codes(kind)) >= 370
+
+    def test_no_feasible_configuration_witness(self, monkeypatch):
+        # Every codeword (u1, 2 u1, 0) has at most two nonzero entries, so
+        # no m = 2 configuration is feasible.
+        g = from_columns([(1.0, 0.0), (2.0, 0.0), (0.0, 0.0)])
+        solved = []
+        solve = lp_module._solve_lp
+
+        def spy(*args):
+            solved.append(solve(*args))
+            return solved[-1]
+        monkeypatch.setattr(lp_module, "_solve_lp", spy)
+        h = lp_module._mheight_reference(g, 2)
+        assert solved and not any(solved)
+        assert (h.value, h.witness) == _reference_outcome(lp_oracle._mheight_reference, g, 2)
+
+    @pytest.mark.parametrize("columns,m", [
+        (np.eye(2, 60), 30),                                        # family size
+        (np.random.default_rng(1).normal(size=(2, 5002)), 1),      # row count
+    ])
+    def test_capacity_errors_equal(self, columns, m):
+        g = GeneratorMatrix(columns, Family("custom"))
+        got = _reference_outcome(lp_module._mheight_reference, g, m)
+        assert got[0] is CapacityError
+        assert got == _reference_outcome(lp_oracle._mheight_reference, g, m)
 
 
 def _oracle_codes(kind):
