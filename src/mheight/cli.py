@@ -10,6 +10,7 @@ stdout), 2 usage error (argparse message on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -299,7 +300,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="mheight",
         description="Geometric analog codes: generators, m-height profiles, "

@@ -58,6 +58,9 @@ class Family:
             raise InvalidParameterError(f"unknown family kind {self.kind!r}")
         if self.kind == DUAL_POLYGONAL:
             check_integer("n", self.n, 2)
+        elif self.n is not None:
+            raise InvalidParameterError(
+                f"n is only set for the {DUAL_POLYGONAL} family, got n={self.n!r}")
 
     @property
     def label(self) -> str:

@@ -6,8 +6,10 @@ codes, a sub-triangle of a face for the polyhedral ones -- on which the
 m-height supremum is already attained.  This module parametrizes those
 domains, verifies the fixed magnitude orderings that hold on them, checks
 the sign patterns of the height-ratio partial derivatives, and runs direct
-grid searches that lower-bound (and in practice reproduce) the exact
-heights.
+searches that lower-bound (and in practice reproduce) the exact heights: a
+grid, then an exact local step at the vertices of the arrangement where
+codeword magnitudes switch rank or sign, since the paper's maximizers sit at
+such vertices.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ from .errors import InvalidParameterError
 from .heights import ExtendedHeight
 from .tolerances import ROUNDOFF_SLACK, TIE_TOL
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_REFINE_ITERS = 64
-_REFINE_SWEEPS = 4
 _DEFAULT_ARC_RESOLUTION = 10_000
 _DEFAULT_TRIANGLE_RESOLUTION = 300
 
@@ -483,30 +482,12 @@ def monotonicity_check(family: Family, j: int, grid_resolution: int) -> Monotoni
 # ---------------------------------------------------------------------------
 # Direct search
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximization on ``[lo, hi]``; returns ``(x, f(x))``."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(_REFINE_ITERS):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def _grid_max(blocks: Iterator[tuple[tuple[np.ndarray, ...], np.ndarray]], matrix: np.ndarray,
-              m: int) -> tuple[float, tuple[float, ...] | None, tuple[float, ...]]:
+              m: int) -> tuple[float, tuple[float, ...] | None, tuple[float, ...]] | None:
     """``(ratio, params, point)`` at the first maximum of the height ratio over
     ``(params, points)`` blocks, or ``(inf, None, point)`` at the first point
-    whose denominator is exactly zero while its numerator is not."""
+    whose denominator is exactly zero while its numerator is not; ``None``
+    when the blocks hold no point."""
     best, buf = None, np.empty((_GRID_CHUNK + 1, matrix.shape[1]))
     for params, pts in blocks:
         # numpy sends a one-row product to gemv, which rounds differently
@@ -528,33 +509,86 @@ def _grid_max(blocks: Iterator[tuple[tuple[np.ndarray, ...], np.ndarray]], matri
     return best
 
 
-def _point_ratio(matrix: np.ndarray, m: int) -> Callable[[Sequence[float]], float]:
-    """The height ratio at one point, written into a reused ``(1, k)`` row."""
-    row, mags = np.empty((1, matrix.shape[0])), np.empty((1, matrix.shape[1]))
+def _arc_blocks(alphas: np.ndarray) -> Iterator[tuple[tuple[np.ndarray, ...], np.ndarray]]:
+    for a in np.split(alphas, range(_GRID_CHUNK, len(alphas), _GRID_CHUNK)):
+        yield (a,), np.column_stack([np.cos(a), np.sin(a)])
 
-    def ratio(point: Sequence[float]) -> float:
-        row[0] = point
-        np.abs(np.matmul(row, matrix, out=mags), out=mags)
-        mags.sort()
-        num, den = mags[0, -1], mags[0, -1 - m]
-        if den > 0.0:
-            return float(num / den)
-        return math.inf if num > 0.0 else -math.inf
-    return ratio
+
+def _switching_lines(coef: np.ndarray) -> np.ndarray:
+    """Rows of ``coef`` (one affine or linear form per codeword entry) and
+    their pairwise differences and sums: the loci ``e_i = 0`` and
+    ``e_i = -+e_j`` where a sign or a magnitude rank can switch."""
+    i, j = np.triu_indices(len(coef), 1)
+    return np.vstack([coef[i] - coef[j], coef[i] + coef[j], coef])
+
+
+def _arc_vertices(matrix: np.ndarray, domain: ArcDomain, alpha: float, step: float
+                  ) -> Iterator[tuple[tuple[np.ndarray, ...], np.ndarray]]:
+    """The window ``[alpha - step, alpha + step]``'s ends and the switching
+    angles inside it, ``x`` perpendicular to ``g_i -+ g_j`` or ``g_i``.
+
+    Between two switching angles the ratio of two fixed signed entries is
+    monotone (its derivative has the sign of ``sin(theta_a - theta_b)``),
+    so its maximum over the window is at one of these angles.
+    """
+    lo, hi = max(0.0, alpha - step), min(domain.upper, alpha + step)
+    normals = _switching_lines(matrix.T)
+    thetas = np.mod(np.arctan2(normals[:, 1], normals[:, 0]) + 0.5 * math.pi, math.pi)
+    return _arc_blocks(np.concatenate([[lo, hi], thetas[(thetas >= lo) & (thetas <= hi)]]))
+
+
+def _triangle_vertices(matrix: np.ndarray, domain: TriangleDomain, bu: float, bv: float,
+                       h: float) -> Iterator[tuple[tuple[np.ndarray, ...], np.ndarray]]:
+    """Vertices of the switching arrangement in the box ``|u - bu|, |v - bv|
+    <= h``, cut by the triangle, in blocks of at most ``_GRID_CHUNK``.
+
+    Entries are affine in the parameters, ``e = c + u a + v b``.  Where no
+    rank or sign switches the ratio is linear-fractional, so its maximum over
+    the box is at a pairwise intersection of the lines that cross the box:
+    ``e_i = 0``, ``e_i = -+e_j``, the box edges and the triangle edges.
+    Intersections are kept within ``2 h`` of the box centre, a margin for
+    the rounding of those on the box edges.
+    """
+    v1, v2, v3 = domain._vertex_arrays
+    coef = np.column_stack([(v1 - v3) @ matrix, (v2 - v3) @ matrix, v3 @ matrix])
+    edges = [(1.0, 0.0, -bu + h), (1.0, 0.0, -bu - h), (0.0, 1.0, -bv + h),
+             (0.0, 1.0, -bv - h), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, -1.0)]
+    lines = np.vstack([_switching_lines(coef), edges])
+    corners = np.array([[bu - h, bu + h, bu - h, bu + h],
+                        [bv - h, bv - h, bv + h, bv + h], [1.0] * 4])
+    at = lines @ corners
+    lines = lines[(at.min(axis=1) <= 0.0) & (at.max(axis=1) >= 0.0)]
+    count, rows = len(lines), max(1, _GRID_CHUNK // len(lines))
+    for r in range(0, count, rows):
+        first = lines[r:r + rows]
+        later = np.arange(count) > np.arange(r, r + len(first))[:, None]
+        x, y, w = np.cross(first[:, None], lines[None]).transpose(2, 0, 1)[:, later]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            us, vs = x / w, y / w
+            keep = ((np.abs(us - bu) <= 2.0 * h) & (np.abs(vs - bv) <= 2.0 * h)
+                    & (us >= 0.0) & (vs >= 0.0) & (us + vs <= 1.0 + ROUNDOFF_SLACK))
+        us, vs = us[keep], vs[keep]
+        for i in range(0, len(us), _GRID_CHUNK):
+            u, v = us[i:i + _GRID_CHUNK], vs[i:i + _GRID_CHUNK]
+            yield (u, v), domain.points(u, v)
 
 
 def domain_search(generator: GeneratorMatrix, m: int, domain: FundamentalDomain,
                   resolution: int | None = None) -> ExtendedHeight:
-    """Grid search plus local refinement over a fundamental domain.
+    """Grid search plus an exact local step over a fundamental domain.
 
     Returns a certified lower bound on the m-height (every evaluation is a
     genuine codeword ratio).  The grid is visited row-major -- ``v``, then
-    ``u`` on a triangle; ``alpha`` on an arc -- and its first maximum seeds
-    the refinement.  Infinity is reported at the first grid point whose
-    denominator order statistic is exactly zero while the top one is not;
-    otherwise unboundedness is left to the exact engine.  Working memory
-    beyond the ``resolution``-long parameter line is ``O(_GRID_CHUNK)``,
-    whatever the resolution.
+    ``u`` on a triangle; ``alpha`` on an arc -- and its first maximum is
+    refined within one grid cell of it: the ratio is linear-fractional
+    wherever no magnitude rank or sign switches, so the refine evaluates the
+    vertices of the switching arrangement there and keeps the first
+    maximum, if it is strictly greater.  Infinity is reported at the first
+    point, grid or refine, whose denominator order statistic is exactly
+    zero while the top one is not; otherwise unboundedness is left to the
+    exact engine.  Every point goes through one blocked evaluation kernel,
+    and working memory beyond the ``resolution``-long parameter line is
+    ``O(_GRID_CHUNK)`` points, whatever the resolution.
     """
     check_integer("m", m, 1, generator.n - 1)
     if resolution is not None:
@@ -563,69 +597,26 @@ def domain_search(generator: GeneratorMatrix, m: int, domain: FundamentalDomain,
     if isinstance(domain, ArcDomain):
         if generator.k != 2:
             raise InvalidParameterError("arc domains require a k=2 generator")
-        return _search_arc(generator, m, domain,
-                           resolution or _DEFAULT_ARC_RESOLUTION)
-    if isinstance(domain, TriangleDomain):
+        resolution = resolution or _DEFAULT_ARC_RESOLUTION
+        step = domain.upper / (resolution - 1)
+        grid = _arc_blocks(np.linspace(0.0, domain.upper, resolution))
+        vertices = lambda a: _arc_vertices(generator.matrix, domain, a, step)
+    elif isinstance(domain, TriangleDomain):
         if len(domain.v1) != generator.k:
             raise InvalidParameterError(
                 "triangle vertices must match the generator dimension")
-        return _search_triangle(generator, m, domain,
-                                resolution or _DEFAULT_TRIANGLE_RESOLUTION)
-    raise InvalidParameterError(f"unknown domain type {type(domain).__name__}")
+        resolution = resolution or _DEFAULT_TRIANGLE_RESOLUTION
+        cell = 1.0 / (resolution - 1)
+        grid = (((uu, vv), domain.points(uu, vv)) for uu, vv in
+                _triangle_grid(np.linspace(0.0, 1.0, resolution), 1.0 + ROUNDOFF_SLACK))
+        vertices = lambda u, v: _triangle_vertices(generator.matrix, domain, u, v, cell)
+    else:
+        raise InvalidParameterError(f"unknown domain type {type(domain).__name__}")
 
-
-def _search_arc(generator: GeneratorMatrix, m: int, domain: ArcDomain,
-                resolution: int) -> ExtendedHeight:
-    alphas = np.linspace(0.0, domain.upper, resolution)
-    blocks = (((a,), np.column_stack([np.cos(a), np.sin(a)]))
-              for a in np.split(alphas, range(_GRID_CHUNK, resolution, _GRID_CHUNK)))
-    best_val, params, witness = _grid_max(blocks, generator.matrix, m)
-    if params is None:
-        return ExtendedHeight(math.inf, witness=witness)
-
-    ratio = _point_ratio(generator.matrix, m)
-    (best_alpha,) = params
-    step = domain.upper / (resolution - 1)
-    lo = max(0.0, best_alpha - step)
-    hi = min(domain.upper, best_alpha + step)
-    x, fx = _golden_max(lambda t: ratio((math.cos(t), math.sin(t))), lo, hi)
-    if fx > best_val:
-        best_val, best_alpha = fx, x
+    value, params, witness = _grid_max(grid, generator.matrix, m)
+    if params is not None:
+        refined = _grid_max(vertices(*params), generator.matrix, m)
+        if refined is not None and (refined[1] is None or refined[0] > value):
+            value, _, witness = refined
     # abs: -inf (every sampled codeword vanished) reads as infinite.
-    return ExtendedHeight(abs(best_val),
-                          witness=(math.cos(best_alpha), math.sin(best_alpha)))
-
-
-def _search_triangle(generator: GeneratorMatrix, m: int, domain: TriangleDomain,
-                     resolution: int) -> ExtendedHeight:
-    line = np.linspace(0.0, 1.0, resolution)
-    blocks = (((uu, vv), domain.points(uu, vv))
-              for uu, vv in _triangle_grid(line, 1.0 + ROUNDOFF_SLACK))
-    best_val, params, witness = _grid_max(blocks, generator.matrix, m)
-    if params is None:
-        return ExtendedHeight(math.inf, witness=witness)
-
-    ratio = _point_ratio(generator.matrix, m)
-    verts = tuple(zip(domain.v1, domain.v2, domain.v3))
-
-    def f(u: float, v: float) -> float:
-        # domain.point's arithmetic, in Python floats.
-        w = 1.0 - u - v
-        return ratio([u * a + v * b + w * c for a, b, c in verts])
-
-    bu, bv = params
-    cell = 1.0 / (resolution - 1)
-    for _ in range(_REFINE_SWEEPS):
-        lo = max(0.0, bu - cell)
-        hi = min(1.0 - bv, bu + cell)
-        if hi > lo:
-            bu, _ = _golden_max(lambda t: f(t, bv), lo, hi)
-        lo = max(0.0, bv - cell)
-        hi = min(1.0 - bu, bv + cell)
-        if hi > lo:
-            bv, _ = _golden_max(lambda t: f(bu, t), lo, hi)
-    refined = f(bu, bv)
-    if refined > best_val:
-        best_val = refined
-        witness = tuple(domain.point(bu, bv))
-    return ExtendedHeight(abs(best_val), witness=witness)   # as in _search_arc
+    return ExtendedHeight(abs(value), witness=witness)

@@ -134,6 +134,29 @@ class TestVerify:
         assert doc["seed"] == 3 and doc["passed"] is True
 
 
+class TestParserReuse:
+    CALLS = (
+        ("verify", "--suite", "icos-chain", "--samples", "0"),
+        ("verify", "--suite", "candidates"),
+        ("gen", "--family", "dual-polygonal", "--n", "4"),
+        ("height", "--family", "dual-icosahedral", "--m", "1"),
+        ("verify", "--suite", "cross-check", "--samples", "0"),
+        ("gen", "--family", "dual-icosahedral"),
+    )
+
+    def test_alternating_runs_match_first_calls(self, capsys):
+        # The parser is built once per process; a usage error (exit 2), a
+        # verify suite and gen must each see it as a freshly built one.
+        first = {}
+        for argv in self.CALLS:
+            cli.build_parser.cache_clear()
+            first[argv] = run(list(argv)), capsys.readouterr()
+        assert first[self.CALLS[0]][0] == 2 and first[self.CALLS[3]][0] == 2
+        for argv in self.CALLS * 2:
+            assert (run(list(argv)), capsys.readouterr()) == first[argv], argv
+        assert cli.build_parser() is cli.build_parser()
+
+
 def scalar_triangle_draws(rng, samples):
     """Rejection sampling one ``rng.random()`` draw at a time."""
     pairs = []

@@ -222,6 +222,21 @@ class TestGeneratorMatrix:
             GeneratorMatrix.from_json_dict(doc)
 
 
+class TestFamily:
+    @pytest.mark.parametrize("kind", [mheight.DUAL_ICOSAHEDRAL, mheight.DUAL_DODECAHEDRAL,
+                                      "custom"])
+    @pytest.mark.parametrize("n", [8.5, 8, 0])
+    def test_stray_n_rejected(self, kind, n):
+        # Only the polygonal family has a length parameter; a stray one
+        # would make two tags of the same code compare unequal.
+        with pytest.raises(InvalidParameterError):
+            mheight.Family(kind, n)
+
+    def test_non_polygonal_n_defaults_to_none(self):
+        fam = mheight.Family(mheight.DUAL_ICOSAHEDRAL)
+        assert fam.n is None and fam == mheight.Family(mheight.DUAL_ICOSAHEDRAL, None)
+
+
 _ICOSA = mheight.Family(mheight.DUAL_ICOSAHEDRAL)
 _POLY8 = mheight.Family(mheight.DUAL_POLYGONAL, 8)
 _POLY5 = dual_polygonal(5)

@@ -21,6 +21,7 @@ from mheight import (
     dual_polygonal,
     encode,
     exact_mheight,
+    exact_profile,
     icosahedral_chain_check,
     icosahedral_domain,
     monotonicity_check,
@@ -363,6 +364,18 @@ class TestMonotonicity:
             monotonicity_check(Family(DUAL_POLYGONAL, 5), 4, 10)
 
 
+def _fifteen_axis_code():
+    """The 15 two-fold axes of the icosahedral group, in the frame of
+    dual_icosahedral: the cyclic shifts of (phi, 0, 0), and the even
+    permutations of (1/2, phi^2/2, phi/2) with every sign, one axis per
+    +- pair."""
+    axes = [np.roll((PHI, 0.0, 0.0), s) for s in range(3)]
+    half = np.array((0.5, PHI * PHI / 2.0, PHI / 2.0))
+    axes += [np.roll(half * (1.0, sy, sz), s)
+             for s in range(3) for sy in (1.0, -1.0) for sz in (1.0, -1.0)]
+    return from_columns(axes)
+
+
 class TestDomainSearch:
     def test_polygonal_matches_closed_form(self):
         g = dual_polygonal(8)
@@ -387,6 +400,68 @@ class TestDomainSearch:
         g = dual_dodecahedral()
         h = domain_search(g, 5, dodecahedral_domain(), 200)
         assert encode(g, h.witness).height(5) == pytest.approx(h.value, rel=1e-9)
+
+    @pytest.mark.parametrize("resolution", [5, 20, 50, None])
+    def test_polyhedral_maxima_are_switching_vertices(self, resolution):
+        # The refine finds every finite height exactly, even on a coarse
+        # grid, also with every other column's sign flipped: that swaps
+        # the lines e_i = e_j and e_i = -e_j of the arrangement.  On the
+        # 15-axis code the maxima at m = 7, 8 sit where two magnitudes cross
+        # along a ridge that no coordinate axis follows.
+        for g, dom in ((dual_icosahedral(), icosahedral_domain()),
+                       (dual_dodecahedral(), dodecahedral_domain()),
+                       (_fifteen_axis_code(), icosahedral_domain())):
+            exact = exact_profile(g)
+            signs = (-1.0) ** np.arange(g.n)
+            for code in (g, from_columns(g.columns * signs[:, None])):
+                for m in range(1, g.n):
+                    if not exact.height(m).infinite:
+                        h = domain_search(code, m, dom, resolution)
+                        assert h.value == pytest.approx(exact.height(m).value, rel=1e-12), m
+
+    def test_refine_is_exact_over_a_whole_domain(self):
+        # At resolution 2 one grid cell spans the whole arc or triangle, so
+        # the switching vertices must beat a dense sampling of it.
+        rng = np.random.default_rng(3)
+        alphas = np.linspace(0.0, 1.0, 20_001)
+        line = np.linspace(0.0, 1.0, 201)
+        us, vs = (x.ravel() for x in np.meshgrid(line, line))
+        us, vs = us[us + vs <= 1.0], vs[us + vs <= 1.0]
+        for k in (2, 3):
+            for _ in range(4):
+                n = int(rng.integers(k + 1, 9))
+                g = from_columns(rng.normal(size=(n, k)))
+                if k == 2:
+                    dom = polygonal_domain(n)
+                    dirs = np.column_stack([np.cos(alphas * dom.upper),
+                                            np.sin(alphas * dom.upper)])
+                else:
+                    dom = dodecahedral_domain()
+                    dirs = dom.points(us, vs)
+                mags = np.sort(np.abs(dirs @ g.matrix), axis=1)
+                for m in range(1, n - k + 1):     # the finite heights
+                    dense = float(np.max(mags[:, -1] / mags[:, -1 - m]))
+                    h = domain_search(g, m, dom, 2)
+                    assert h.value >= dense * (1.0 - 1e-12), (k, n, m)
+
+    def test_refine_lands_on_a_pole_inside_the_domain(self):
+        # Column 2 vanishes along a line through the domain's interior, so
+        # at m = n - 1 the ratio is unbounded there.  On a fine enough grid
+        # the maximum is a point within a cell of that line, and the
+        # refine's e_i = 0 vertices lie on it.
+        rng = np.random.default_rng(0)
+        for k in (2, 3):
+            for _ in range(3):
+                cols = rng.normal(size=(6, k))
+                if k == 2:
+                    dom = polygonal_domain(6)
+                    a = 0.37 * dom.upper
+                    cols[2] = (-math.sin(a), math.cos(a))
+                else:
+                    dom = dodecahedral_domain()
+                    cols[2] = np.cross(dom.point(0.31, 0.23), rng.normal(size=3))
+                for res in (61, 300):
+                    assert domain_search(from_columns(cols), 5, dom, res).value > 1e12
 
     def test_exact_zero_denominator_reports_infinity(self):
         # The arc endpoint alpha=0 zeroes no entry, but alpha=pi/2 would; use
@@ -434,10 +509,10 @@ class TestDomainSearch:
                 assert sampled <= h.value + 1e-6 * max(1.0, h.value)
 
 
-def _oracle_search(g, m, dom, resolution):
+def _oracle_grid(g, m, dom, resolution):
     if isinstance(dom, search.ArcDomain):
-        return search_oracle._search_arc(g, m, dom, resolution)
-    return search_oracle._search_triangle(g, m, dom, resolution)
+        return search_oracle.arc_grid(g, m, dom, resolution)
+    return search_oracle.triangle_grid(g, m, dom, resolution)
 
 
 def _random_k3_codes(rng):
@@ -468,13 +543,43 @@ def grid_chunk(request, monkeypatch):
 
 
 class TestGridPassMatchesOracle:
-    """The chunked grid pass reproduces the one-pass search bit for bit:
-    value and witness are compared with ``==``."""
+    """The chunked grid pass reproduces the one-pass grid bit for bit: its
+    ``(ratio, params, point)`` is compared with ``==``.  The switching-vertex
+    refine that follows may only raise the value, never past the exact
+    height, and its witness re-encodes to the value."""
 
-    def assert_same(self, g, m, dom, resolution):
+    @pytest.fixture(autouse=True)
+    def grid_stage(self, monkeypatch):
+        """Records what each ``_grid_max`` call of a search returns; the
+        first is the grid stage, a second the refine."""
+        self.stages, grid_max = [], search._grid_max
+
+        def recorded(blocks, matrix, m):
+            self.stages.append(grid_max(blocks, matrix, m))
+            return self.stages[-1]
+        monkeypatch.setattr(search, "_grid_max", recorded)
+
+    @staticmethod
+    def exact(g):
+        return [h.value for h in exact_profile(g).heights]
+
+    def assert_same(self, g, m, dom, resolution, exact=None):
+        self.stages.clear()
         new = domain_search(g, m, dom, resolution)
-        old = _oracle_search(g, m, dom, resolution)
-        assert (new.value, new.witness) == (old.value, old.witness), (g.family, m, resolution)
+        grid = self.stages[0]
+        assert grid == _oracle_grid(g, m, dom, resolution), (g.family, m, resolution)
+        value, params, point = grid
+        if params is None:                        # exact infinity on the grid
+            assert new.infinite and new.witness == point and len(self.stages) == 1
+            return new
+        assert new.value >= value
+        if exact is not None and math.isfinite(exact[m - 1]):
+            assert new.value <= exact[m - 1] * (1.0 + 1e-9), (g.family, m, resolution)
+        again = encode(g, new.witness)
+        if new.value < 1e12:
+            assert again.height(m) == pytest.approx(new.value, rel=1e-9, abs=0.0)
+        else:                                     # ratio at a vanishing denominator
+            assert again.height(m) > 1e9
         return new
 
     def test_polyhedral_codes(self, grid_chunk):
@@ -482,18 +587,20 @@ class TestGridPassMatchesOracle:
         # search, so that run keeps them to one m per code.
         for g, dom, big_ms in ((dual_icosahedral(), icosahedral_domain(), (3,)),
                                (dual_dodecahedral(), dodecahedral_domain(), (5,))):
+            exact = self.exact(g)
             for m in range(1, g.n):
                 for res in (2, 3, 50, 300, 400):
                     if res < 300 or grid_chunk is None or m in big_ms:
-                        self.assert_same(g, m, dom, res)
+                        self.assert_same(g, m, dom, res, exact)
 
     def test_random_k3_codes_on_both_triangles(self, grid_chunk):
         rng = np.random.default_rng(14)
         for g in _random_k3_codes(rng):
+            exact = self.exact(g)
             for dom in (icosahedral_domain(), dodecahedral_domain()):
                 for m in range(1, g.n):
                     for res in (2, 7, 61):
-                        self.assert_same(g, m, dom, res)
+                        self.assert_same(g, m, dom, res, exact)
 
     def test_exact_infinity_in_a_later_block(self, grid_chunk):
         # Two copies of e1 vanish exactly where w = 1 - u - v is exactly 0,
@@ -525,16 +632,17 @@ class TestGridPassMatchesOracle:
         ns = range(3, 65) if grid_chunk is None else (3, 4, 5, 8, 13, 64)
         for n in ns:
             g, dom = dual_polygonal(n), polygonal_domain(n)
+            exact = self.exact(g)
             for m in sorted({1, 2, n // 2, n - 2, n - 1} - {0}):
-                self.assert_same(g, m, dom, 10_000 if grid_chunk is None else 600)
+                self.assert_same(g, m, dom, 10_000 if grid_chunk is None else 600, exact)
         for trial in range(8):
             n = int(rng.integers(3, 9))
             g = from_columns(rng.normal(size=(n, 2)) if trial % 2
                              else rng.integers(-2, 3, size=(n, 2)).astype(float))
-            dom = polygonal_domain(n)
+            dom, exact = polygonal_domain(n), self.exact(g)
             for m in range(1, n):
                 for res in (2, 8, 4097):
-                    self.assert_same(g, m, dom, res)
+                    self.assert_same(g, m, dom, res, exact)
 
 
 def test_search_memory_is_bounded_by_the_chunk():
