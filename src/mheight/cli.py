@@ -325,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_height.add_argument("--method", required=True,
                           choices=("closed", "lp", "search"))
     p_height.add_argument("--resolution", type=int, default=None,
-                          help="grid resolution for --method search")
+                          help="triangle grid resolution for --method search "
+                               "(the polygonal arc search is exact and ignores it)")
     p_height.set_defaults(func=cmd_height)
 
     p_profile = sub.add_parser("profile", help="compute a full profile")

@@ -6,10 +6,11 @@ codes, a sub-triangle of a face for the polyhedral ones -- on which the
 m-height supremum is already attained.  This module parametrizes those
 domains, verifies the fixed magnitude orderings that hold on them, checks
 the sign patterns of the height-ratio partial derivatives, and runs direct
-searches that lower-bound (and in practice reproduce) the exact heights: a
-grid, then an exact local step at the vertices of the arrangement where
-codeword magnitudes switch rank or sign, since the paper's maximizers sit at
-such vertices.
+searches that lower-bound (and in practice reproduce) the exact heights.
+The paper's maximizers sit where codeword magnitudes switch rank or sign:
+on an arc the search evaluates every such switching angle and is exact; on
+a triangle it runs a grid, then an exact local step at the vertices of that
+switching arrangement near the grid maximum.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .errors import InvalidParameterError
 from .heights import ExtendedHeight
 from .tolerances import ROUNDOFF_SLACK, TIE_TOL
 
-_DEFAULT_ARC_RESOLUTION = 10_000
 _DEFAULT_TRIANGLE_RESOLUTION = 300
 
 
@@ -509,11 +509,6 @@ def _grid_max(blocks: Iterator[tuple[tuple[np.ndarray, ...], np.ndarray]], matri
     return best
 
 
-def _arc_blocks(alphas: np.ndarray) -> Iterator[tuple[tuple[np.ndarray, ...], np.ndarray]]:
-    for a in np.split(alphas, range(_GRID_CHUNK, len(alphas), _GRID_CHUNK)):
-        yield (a,), np.column_stack([np.cos(a), np.sin(a)])
-
-
 def _switching_lines(coef: np.ndarray) -> np.ndarray:
     """Rows of ``coef`` (one affine or linear form per codeword entry) and
     their pairwise differences and sums: the loci ``e_i = 0`` and
@@ -522,19 +517,22 @@ def _switching_lines(coef: np.ndarray) -> np.ndarray:
     return np.vstack([coef[i] - coef[j], coef[i] + coef[j], coef])
 
 
-def _arc_vertices(matrix: np.ndarray, domain: ArcDomain, alpha: float, step: float
+def _arc_vertices(matrix: np.ndarray, domain: ArcDomain
                   ) -> Iterator[tuple[tuple[np.ndarray, ...], np.ndarray]]:
-    """The window ``[alpha - step, alpha + step]``'s ends and the switching
-    angles inside it, ``x`` perpendicular to ``g_i -+ g_j`` or ``g_i``.
+    """The arc's ends and the switching angles inside it, ``x``
+    perpendicular to ``g_i -+ g_j`` or ``g_i``, in blocks of at most
+    ``_GRID_CHUNK``.
 
     Between two switching angles the ratio of two fixed signed entries is
     monotone (its derivative has the sign of ``sin(theta_a - theta_b)``),
-    so its maximum over the window is at one of these angles.
+    so its maximum over the arc is at one of these angles.
     """
-    lo, hi = max(0.0, alpha - step), min(domain.upper, alpha + step)
     normals = _switching_lines(matrix.T)
     thetas = np.mod(np.arctan2(normals[:, 1], normals[:, 0]) + 0.5 * math.pi, math.pi)
-    return _arc_blocks(np.concatenate([[lo, hi], thetas[(thetas >= lo) & (thetas <= hi)]]))
+    alphas = np.concatenate([[0.0, domain.upper],
+                             thetas[(thetas >= 0.0) & (thetas <= domain.upper)]])
+    for a in np.split(alphas, range(_GRID_CHUNK, len(alphas), _GRID_CHUNK)):
+        yield (a,), np.column_stack([np.cos(a), np.sin(a)])
 
 
 def _triangle_vertices(matrix: np.ndarray, domain: TriangleDomain, bu: float, bv: float,
@@ -575,20 +573,22 @@ def _triangle_vertices(matrix: np.ndarray, domain: TriangleDomain, bu: float, bv
 
 def domain_search(generator: GeneratorMatrix, m: int, domain: FundamentalDomain,
                   resolution: int | None = None) -> ExtendedHeight:
-    """Grid search plus an exact local step over a fundamental domain.
+    """Direct search for the m-height over a fundamental domain.
 
     Returns a certified lower bound on the m-height (every evaluation is a
-    genuine codeword ratio).  The grid is visited row-major -- ``v``, then
-    ``u`` on a triangle; ``alpha`` on an arc -- and its first maximum is
-    refined within one grid cell of it: the ratio is linear-fractional
-    wherever no magnitude rank or sign switches, so the refine evaluates the
-    vertices of the switching arrangement there and keeps the first
-    maximum, if it is strictly greater.  Infinity is reported at the first
-    point, grid or refine, whose denominator order statistic is exactly
-    zero while the top one is not; otherwise unboundedness is left to the
-    exact engine.  Every point goes through one blocked evaluation kernel,
-    and working memory beyond the ``resolution``-long parameter line is
-    ``O(_GRID_CHUNK)`` points, whatever the resolution.
+    genuine codeword ratio).  On an arc it is exact: the first maximum over
+    the arc's ends and every switching angle inside it.  ``resolution`` sets
+    only the triangle grid, visited row-major -- ``v``, then ``u`` -- whose
+    first maximum is refined within one grid cell of it: the ratio is
+    linear-fractional wherever no magnitude rank or sign switches, so the
+    refine evaluates the vertices of the switching arrangement there and
+    keeps the first maximum, if it is strictly greater.  Infinity is
+    reported at the first point, grid or refine, whose denominator order
+    statistic is exactly zero while the top one is not; otherwise
+    unboundedness is left to the exact engine.  Every point goes through one
+    blocked evaluation kernel, and working memory beyond the
+    ``resolution``-long parameter line is ``O(_GRID_CHUNK)`` points,
+    whatever the resolution.
     """
     check_integer("m", m, 1, generator.n - 1)
     if resolution is not None:
@@ -597,10 +597,8 @@ def domain_search(generator: GeneratorMatrix, m: int, domain: FundamentalDomain,
     if isinstance(domain, ArcDomain):
         if generator.k != 2:
             raise InvalidParameterError("arc domains require a k=2 generator")
-        resolution = resolution or _DEFAULT_ARC_RESOLUTION
-        step = domain.upper / (resolution - 1)
-        grid = _arc_blocks(np.linspace(0.0, domain.upper, resolution))
-        vertices = lambda a: _arc_vertices(generator.matrix, domain, a, step)
+        value, _, witness = _grid_max(_arc_vertices(generator.matrix, domain),
+                                      generator.matrix, m)
     elif isinstance(domain, TriangleDomain):
         if len(domain.v1) != generator.k:
             raise InvalidParameterError(
@@ -609,14 +607,14 @@ def domain_search(generator: GeneratorMatrix, m: int, domain: FundamentalDomain,
         cell = 1.0 / (resolution - 1)
         grid = (((uu, vv), domain.points(uu, vv)) for uu, vv in
                 _triangle_grid(np.linspace(0.0, 1.0, resolution), 1.0 + ROUNDOFF_SLACK))
-        vertices = lambda u, v: _triangle_vertices(generator.matrix, domain, u, v, cell)
+        value, params, witness = _grid_max(grid, generator.matrix, m)
+        if params is not None:
+            refined = _grid_max(_triangle_vertices(generator.matrix, domain, *params, cell),
+                                generator.matrix, m)
+            if refined is not None and (refined[1] is None or refined[0] > value):
+                value, _, witness = refined
     else:
         raise InvalidParameterError(f"unknown domain type {type(domain).__name__}")
 
-    value, params, witness = _grid_max(grid, generator.matrix, m)
-    if params is not None:
-        refined = _grid_max(vertices(*params), generator.matrix, m)
-        if refined is not None and (refined[1] is None or refined[0] > value):
-            value, _, witness = refined
     # abs: -inf (every sampled codeword vanished) reads as infinite.
     return ExtendedHeight(abs(value), witness=witness)

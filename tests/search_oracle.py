@@ -1,13 +1,13 @@
-"""The domain-search grid stage as it stood before the chunked grid pass.
+"""The domain-search triangle grid stage as it stood before the chunked
+grid pass.
 
-It builds the whole grid at once (the triangle by meshgrid and mask, its
-points by outer products) and evaluates every point in one array pass; the
-tests compare the grid stage of :func:`mheight.search.domain_search` with
-it bit for bit.  Each function returns ``(ratio, params, point)`` at the
-first grid maximum, or ``(inf, None, point)`` at the first point whose
-denominator is exactly zero while its numerator is not.  The arithmetic is
-kept verbatim, apart from ``TriangleDomain.points``, which is a plain
-function here.
+It builds the whole grid at once (by meshgrid and mask, its points by outer
+products) and evaluates every point in one array pass; the tests compare
+the grid stage of :func:`mheight.search.domain_search` with it bit for bit.
+:func:`triangle_grid` returns ``(ratio, params, point)`` at the first grid
+maximum, or ``(inf, None, point)`` at the first point whose denominator is
+exactly zero while its numerator is not.  The arithmetic is kept verbatim,
+apart from ``TriangleDomain.points``, which is a plain function here.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from mheight.codes import GeneratorMatrix
-from mheight.search import ArcDomain, TriangleDomain
+from mheight.search import TriangleDomain
 from mheight.tolerances import ROUNDOFF_SLACK
 
 
@@ -42,12 +42,6 @@ def _first_max(params: tuple[np.ndarray, ...], points: np.ndarray, matrix: np.nd
     best = int(np.argmax(ratios))
     return (float(ratios[best]), tuple(float(p[best]) for p in params),
             tuple(points[best]))
-
-
-def arc_grid(generator: GeneratorMatrix, m: int, domain: ArcDomain, resolution: int):
-    alphas = np.linspace(0.0, domain.upper, resolution)
-    dirs = np.column_stack([np.cos(alphas), np.sin(alphas)])
-    return _first_max((alphas,), dirs, generator.matrix, m)
 
 
 def triangle_grid(generator: GeneratorMatrix, m: int, domain: TriangleDomain,

@@ -483,6 +483,23 @@ class TestDomainSearch:
         with pytest.raises(InvalidParameterError):
             exact_mheight(g, True)
 
+    def test_resolution_has_no_effect_on_an_arc(self):
+        # The arc search evaluates every switching angle, so there is no
+        # grid for ``resolution`` to size; it is still validated.
+        rng = np.random.default_rng(7)
+        for n, g in ((5, dual_polygonal(5)), (64, dual_polygonal(64)),
+                     (6, from_columns(rng.normal(size=(6, 2))))):
+            dom = polygonal_domain(n)
+            for m in range(1, n):
+                first = domain_search(g, m, dom)
+                for resolution in (2, 7, 10_000):
+                    h = domain_search(g, m, dom, resolution)
+                    assert (h.value, h.witness) == (first.value, first.witness), (n, m)
+            for bad in (2.5, True, 1):
+                with pytest.raises(InvalidParameterError):
+                    domain_search(g, 1, dom, bad)
+        assert not hasattr(search, "_DEFAULT_ARC_RESOLUTION")
+
     def test_domain_type_validation(self):
         with pytest.raises(InvalidParameterError):
             domain_search(dual_icosahedral(), 1, polygonal_domain(4), 10)
@@ -507,12 +524,6 @@ class TestDomainSearch:
                 ok = den > 0
                 sampled = float(np.max(mags[ok, -1] / den[ok]))
                 assert sampled <= h.value + 1e-6 * max(1.0, h.value)
-
-
-def _oracle_grid(g, m, dom, resolution):
-    if isinstance(dom, search.ArcDomain):
-        return search_oracle.arc_grid(g, m, dom, resolution)
-    return search_oracle.triangle_grid(g, m, dom, resolution)
 
 
 def _random_k3_codes(rng):
@@ -543,15 +554,18 @@ def grid_chunk(request, monkeypatch):
 
 
 class TestGridPassMatchesOracle:
-    """The chunked grid pass reproduces the one-pass grid bit for bit: its
-    ``(ratio, params, point)`` is compared with ``==``.  The switching-vertex
-    refine that follows may only raise the value, never past the exact
-    height, and its witness re-encodes to the value."""
+    """The chunked triangle grid pass reproduces the one-pass grid bit for
+    bit: its ``(ratio, params, point)`` is compared with ``==``.  The
+    switching-vertex refine that follows may only raise the value, never
+    past the exact height, and its witness re-encodes to the value.  An arc
+    search is one pass over the switching angles, held to the exact height
+    and to a dense sampling of the arc."""
 
     @pytest.fixture(autouse=True)
     def grid_stage(self, monkeypatch):
-        """Records what each ``_grid_max`` call of a search returns; the
-        first is the grid stage, a second the refine."""
+        """Records what each ``_grid_max`` call of a search returns: on a
+        triangle the first is the grid stage, a second the refine; an arc
+        search makes one call."""
         self.stages, grid_max = [], search._grid_max
 
         def recorded(blocks, matrix, m):
@@ -567,20 +581,27 @@ class TestGridPassMatchesOracle:
         self.stages.clear()
         new = domain_search(g, m, dom, resolution)
         grid = self.stages[0]
-        assert grid == _oracle_grid(g, m, dom, resolution), (g.family, m, resolution)
+        assert grid == search_oracle.triangle_grid(g, m, dom, resolution), \
+            (g.family, m, resolution)
         value, params, point = grid
         if params is None:                        # exact infinity on the grid
             assert new.infinite and new.witness == point and len(self.stages) == 1
             return new
         assert new.value >= value
+        self.assert_bounded(g, m, new, exact)
+        return new
+
+    @staticmethod
+    def assert_bounded(g, m, found, exact):
+        """``found`` is at most the exact height, where that is finite, and
+        its witness re-encodes to its value."""
         if exact is not None and math.isfinite(exact[m - 1]):
-            assert new.value <= exact[m - 1] * (1.0 + 1e-9), (g.family, m, resolution)
-        again = encode(g, new.witness)
-        if new.value < 1e12:
-            assert again.height(m) == pytest.approx(new.value, rel=1e-9, abs=0.0)
+            assert found.value <= exact[m - 1] * (1.0 + 1e-9), (g.family, m)
+        again = encode(g, found.witness)
+        if found.value < 1e12:
+            assert again.height(m) == pytest.approx(found.value, rel=1e-9, abs=0.0)
         else:                                     # ratio at a vanishing denominator
             assert again.height(m) > 1e9
-        return new
 
     def test_polyhedral_codes(self, grid_chunk):
         # At 7 points per block the two large grids take about 0.3 s per
@@ -628,21 +649,30 @@ class TestGridPassMatchesOracle:
                 assert h.value == 1.0 and h.witness == dom.v3
 
     def test_polygonal_and_random_k2_codes_on_arcs(self, grid_chunk):
+        # One kernel pass over the arc's switching angles, never above the
+        # exact height and never below a dense sampling of the arc.
         rng = np.random.default_rng(2)
-        ns = range(3, 65) if grid_chunk is None else (3, 4, 5, 8, 13, 64)
-        for n in ns:
-            g, dom = dual_polygonal(n), polygonal_domain(n)
-            exact = self.exact(g)
-            for m in sorted({1, 2, n // 2, n - 2, n - 1} - {0}):
-                self.assert_same(g, m, dom, 10_000 if grid_chunk is None else 600, exact)
+        codes = [(n, dual_polygonal(n), sorted({1, 2, n // 2, n - 2, n - 1} - {0}))
+                 for n in (range(3, 65) if grid_chunk is None else (3, 4, 5, 8, 13, 64))]
         for trial in range(8):
             n = int(rng.integers(3, 9))
-            g = from_columns(rng.normal(size=(n, 2)) if trial % 2
-                             else rng.integers(-2, 3, size=(n, 2)).astype(float))
+            codes.append((n, from_columns(rng.normal(size=(n, 2)) if trial % 2 else
+                                          rng.integers(-2, 3, size=(n, 2)).astype(float)),
+                          range(1, n)))
+        for n, g, ms in codes:
             dom, exact = polygonal_domain(n), self.exact(g)
-            for m in range(1, n):
-                for res in (2, 8, 4097):
-                    self.assert_same(g, m, dom, res, exact)
+            alphas = np.linspace(0.0, dom.upper, 20_001)
+            mags = np.sort(np.abs(np.column_stack([np.cos(alphas), np.sin(alphas)])
+                                  @ g.matrix), axis=1)
+            for m in ms:
+                self.stages.clear()
+                h = domain_search(g, m, dom)
+                assert len(self.stages) == 1
+                num, den = mags[:, -1], mags[:, -1 - m]
+                with np.errstate(divide="ignore"):
+                    dense = float(np.max(np.where(num > 0.0, num / den, 0.0)))
+                assert h.value >= dense * (1.0 - 1e-12), (g.family, m)
+                self.assert_bounded(g, m, h, exact)
 
 
 def test_search_memory_is_bounded_by_the_chunk():
