@@ -37,6 +37,8 @@ class CapabilitySpec:
             raise InvalidParameterError("delta must be positive")
         if not self.Delta > self.delta:
             raise InvalidParameterError("Delta must exceed delta")
+        if not math.isfinite(self.ratio):
+            raise InvalidParameterError("Delta and Delta/delta must be finite")
 
     @property
     def ratio(self) -> float:
@@ -64,6 +66,8 @@ def feasible_pairs(profile: MHeightProfile, ratio: float) -> list[tuple[int, int
     claim ``(0, 0)`` is excluded.  Sorted by ``tau`` then ``sigma``,
     both descending.
     """
+    if not math.isfinite(ratio):
+        raise InvalidParameterError(f"ratio must be finite, got {ratio}")
     pairs = []
     top = profile.max_m
     for tau in range(top // 2, -1, -1):

@@ -39,8 +39,6 @@ _SAMPLED_SUITES = ("polygonal-order", "icos-chain", "dode-ranks")
 _SUITES = (*_SAMPLED_SUITES, "monotonicity", "candidates", "cross-check")
 _POLYGONAL_NS = range(3, 13)
 _MONOTONICITY_GRID = 50
-#: Points per array pass of a sampled suite; bounds memory for any --samples.
-_CHUNK = 4096
 _MATCH_TOL = 1e-9       # verify contract: candidate and sampled heights
 _AGREE_TOL = 1e-6       # verify contract: closed vs exact profiles, relative
 
@@ -94,6 +92,8 @@ def _build_generator(args: argparse.Namespace) -> GeneratorMatrix:
         if args.n is None:
             raise MHeightError("--n is required for the dual-polygonal family")
         return dual_polygonal(args.n)
+    if args.n is not None:
+        raise MHeightError(f"--n is only accepted for the {DUAL_POLYGONAL} family")
     if args.family == DUAL_ICOSAHEDRAL:
         return dual_icosahedral()
     return dual_dodecahedral()
@@ -174,12 +174,17 @@ def cmd_capability(args: argparse.Namespace) -> int:
 # Verification suites
 
 
+def _chunk_sizes(samples: int) -> Iterator[int]:
+    """``samples`` split into passes of at most ``search._GRID_CHUNK`` points;
+    memory stays bounded for any ``--samples``."""
+    for start in range(0, samples, search._GRID_CHUNK):
+        yield min(search._GRID_CHUNK, samples - start)
+
+
 def _arc_chunks(rng: np.random.Generator, n: int, samples: int) -> Iterator[np.ndarray]:
     """``samples`` angles ``rng.random() * pi / (2n)``, in order, in chunks."""
-    while samples > 0:
-        size = min(samples, _CHUNK)
+    for size in _chunk_sizes(samples):
         yield rng.random(size) * math.pi / (2 * n)
-        samples -= size
 
 
 def _triangle_chunks(rng: np.random.Generator,
@@ -187,7 +192,7 @@ def _triangle_chunks(rng: np.random.Generator,
     """The first ``samples`` pairs ``(u, v)`` with ``u + v <= 1`` among
     successive pairs of ``rng.random()`` draws, in chunks."""
     while samples > 0:
-        uv = rng.random((_CHUNK, 2))
+        uv = rng.random((search._GRID_CHUNK, 2))
         uv = uv[uv[:, 0] + uv[:, 1] <= 1.0][:samples]
         samples -= len(uv)
         yield uv[:, 0], uv[:, 1]
@@ -262,18 +267,19 @@ def _suite_cross_check(samples: int, rng: np.random.Generator) -> list[dict]:
                  "passed": agree}
         if samples > 0:
             dominated = True
-            dirs = rng.normal(size=(samples, generator.k))
-            mags = np.abs(dirs @ generator.matrix)
-            mags.sort(axis=1)
-            for m in range(1, generator.n):
-                e = exact.height(m)
-                if e.infinite:
-                    continue
-                den = mags[:, -1 - m]
-                ok = den > 0
-                ratios = mags[ok, -1] / den[ok]
-                if ratios.size and float(ratios.max()) > e.value + _MATCH_TOL:
-                    dominated = False
+            # Row-by-row normal draws, so chunking keeps the random stream.
+            for size in _chunk_sizes(samples):
+                mags = np.abs(rng.normal(size=(size, generator.k)) @ generator.matrix)
+                mags.sort(axis=1)
+                for m in range(1, generator.n):
+                    e = exact.height(m)
+                    if e.infinite:
+                        continue
+                    den = mags[:, -1 - m]
+                    ok = den > 0
+                    ratios = mags[ok, -1] / den[ok]
+                    if ratios.size and float(ratios.max()) > e.value + _MATCH_TOL:
+                        dominated = False
             entry["sample_dominated"] = dominated
             entry["passed"] = agree and dominated
         checks.append(entry)

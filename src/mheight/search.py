@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -323,7 +323,8 @@ _FD_STEP = 1e-6         # centred finite-difference step
 _FD_ASSERT = 1e-8       # smallest |derivative| whose sign is asserted
 _EDGE_MARGIN = 1e-5     # grid margin from the edges, relative to the extent
 _CUT_MARGIN = 1e-4      # dodecahedral j=8 region's offset from its cut line
-#: Grid points per array pass of a triangle monotonicity check or a search.
+#: Points per array pass of a monotonicity check, a search or a sampled
+#: verify suite.
 _GRID_CHUNK = 1 << 12
 
 # Expected signs (d/du, d/dv) of the ratio |x.g1| / |x.g_j| on the
@@ -357,35 +358,9 @@ class MonotonicityReport:
         return not self.violations
 
 
-def _arc_ratio(n: int, m: int, alphas: np.ndarray) -> np.ndarray:
-    mags = np.abs(np.cos(np.pi * np.arange(n)[None, :] / n - alphas[:, None]))
-    mags.sort(axis=1)
-    return mags[:, -1] / mags[:, -1 - m]
-
-
-def _polygonal_monotonicity(family: Family, m: int, res: int) -> MonotonicityReport:
-    n = family.n
-    check_integer("ratio index", m, 1, n - 2)
-    expected = 1 if m % 2 == 0 else -1
-    upper = math.pi / (2 * n)
-    margin = max(10 * _FD_STEP, _EDGE_MARGIN * upper)
-    alphas = np.linspace(margin, upper - margin, res)
-    deriv = (_arc_ratio(n, m, alphas + _FD_STEP)
-             - _arc_ratio(n, m, alphas - _FD_STEP)) / (2 * _FD_STEP)
-    check = np.abs(deriv) > _FD_ASSERT
-    bad = check & (expected * deriv < 0)
-    violations = tuple(
-        Violation(f"sign(dh/dalpha) at alpha={alphas[i]:.9g}", float(abs(deriv[i])))
-        for i in np.flatnonzero(bad))
-    return MonotonicityReport(family, m, (expected,), int(check.sum()), violations)
-
-
-def _triangle_grid(line: np.ndarray, limit: float,
-                   region: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Grid points ``(u, v) = (line[c], line[r])`` with ``u + v <= limit``
-    (and inside ``region``), row-major -- v, then u -- in blocks of at most
-    ``_GRID_CHUNK`` points.
+def _triangle_grid(line: np.ndarray, limit: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Grid points ``(u, v) = (line[c], line[r])`` with ``u + v <= limit``,
+    row-major -- v, then u -- in blocks of at most ``_GRID_CHUNK`` points.
 
     ``line`` increases, so row ``r`` keeps a prefix of it no longer than row
     ``r - 1``'s, and a block spans only the columns its previous row kept.
@@ -398,69 +373,10 @@ def _triangle_grid(line: np.ndarray, limit: float,
             us = line[c:min(width, c + _GRID_CHUNK)]
             keep = us + vs <= limit
             kept += int(np.count_nonzero(keep[-1]))
-            if region is not None:
-                keep &= region(us, vs)
             if keep.any():
                 yield (np.broadcast_to(us, keep.shape)[keep],
                        np.broadcast_to(vs, keep.shape)[keep])
         width, r = kept, r + len(vs)
-
-
-def _triangle_monotonicity(family: Family, j: int, res: int) -> MonotonicityReport:
-    if family.kind == DUAL_ICOSAHEDRAL:
-        signs = _ICOSA_SIGNS
-        denom_axis = _ICOSA_DENOM
-        domain = icosahedral_domain()
-        matrix = dual_icosahedral().matrix
-        region = None
-    else:
-        signs = _DODE_SIGNS
-        denom_axis = {idx: idx for idx in _DODE_SIGNS}
-        domain = dodecahedral_domain()
-        matrix = dual_dodecahedral().matrix
-        # The eighth projection vanishes along a line inside the triangle;
-        # its ratio is only asserted on the far side of the switching
-        # boundary, where that projection is bounded away from zero.
-        if j == 8:
-            cut = 2.0 * math.sqrt(5.0) - 4.0
-            region = lambda uu, vv: vv >= cut * (1.0 - uu) + _CUT_MARGIN
-        else:
-            region = None
-    check_integer("ratio index", j, 1)
-    if j not in signs:
-        raise InvalidParameterError(
-            f"ratio index {j} is not checkable for {family.label}")
-
-    su, sv = signs[j]
-    col = denom_axis[j] - 1
-
-    # Row-wise products, not a matrix product, so that a point's value does
-    # not depend on which chunk it falls in.
-    num, den = matrix[:, 0], matrix[:, col]
-
-    def ratio(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        pts = domain.points(us, vs)
-        return np.abs((pts * num).sum(axis=1)) / np.abs((pts * den).sum(axis=1))
-
-    h = _FD_STEP
-    violations: dict[str, list[Violation]] = {"u": [], "v": []}
-    asserted = 0
-    margin = max(10 * _FD_STEP, _EDGE_MARGIN)
-    line = np.linspace(margin, 1.0 - margin, res)
-    for uu, vv in _triangle_grid(line, 1.0 - margin, region):
-        du = (ratio(uu + h, vv) - ratio(uu - h, vv)) / (2 * h)
-        dv = (ratio(uu, vv + h) - ratio(uu, vv - h)) / (2 * h)
-        for sign, deriv, name in ((su, du, "u"), (sv, dv, "v")):
-            if sign is None:
-                continue
-            check = np.abs(deriv) > _FD_ASSERT
-            asserted += int(check.sum())
-            for i in np.flatnonzero(check & (sign * deriv < 0)):
-                violations[name].append(Violation(
-                    f"sign(d/d{name}) at (u,v)=({uu[i]:.9g},{vv[i]:.9g})",
-                    float(abs(deriv[i]))))
-    return MonotonicityReport(family, j, (su, sv), asserted,
-                              (*violations["u"], *violations["v"]))
 
 
 def monotonicity_check(family: Family, j: int, grid_resolution: int) -> MonotonicityReport:
@@ -468,15 +384,79 @@ def monotonicity_check(family: Family, j: int, grid_resolution: int) -> Monotoni
 
     ``j`` names the ratio: the target ``m`` for the polygonal family, the
     ratio index (1..3) for the icosahedral one, and the denominator axis for
-    the dodecahedral one.  Signs are asserted only where the centered
-    finite difference (step 1e-6) exceeds 1e-8 in magnitude.
+    the dodecahedral one.  The ratio is ``|x.g_0| / |x.g_c|``, with ``c`` the
+    column the domain's fixed ordering puts at that rank (on the open arc,
+    :func:`polygonal_rank_index`).  Its interior grid -- ``alpha``, or
+    ``(u, v)`` row-major -- is evaluated in blocks of at most ``_GRID_CHUNK``
+    points, so memory beyond the parameter line is bounded.  Signs are
+    asserted only where the centered finite difference (step 1e-6) exceeds
+    1e-8 in magnitude; violations are listed by axis, then in grid order.
     """
     check_integer("grid_resolution", grid_resolution, 2)
     if family.kind == DUAL_POLYGONAL:
-        return _polygonal_monotonicity(family, j, grid_resolution)
-    if family.kind in (DUAL_ICOSAHEDRAL, DUAL_DODECAHEDRAL):
-        return _triangle_monotonicity(family, j, grid_resolution)
-    raise InvalidParameterError(f"no monotonicity facts for family {family.label}")
+        n = family.n
+        check_integer("ratio index", j, 1, n - 2)
+        signs: tuple[int | None, ...] = (1 if j % 2 == 0 else -1,)
+        upper = math.pi / (2 * n)
+        margin = max(10 * _FD_STEP, _EDGE_MARGIN * upper)
+        line = np.linspace(margin, upper - margin, grid_resolution)
+        blocks: Iterator[tuple[np.ndarray, ...]] = (
+            (line[i:i + _GRID_CHUNK],) for i in range(0, len(line), _GRID_CHUNK))
+        # Directions, and the columns 0 and c of dual_polygonal(n), are unit
+        # vectors at angles alpha and pi*c/n.
+        unit = lambda a: np.array([np.cos(a), np.sin(a)])
+        points = lambda a: unit(a).T
+        num, den = unit(np.pi * np.array([0, polygonal_rank_index(n, j)]) / n).T
+        names, where = ("alpha",), "alpha={}"
+    elif family.kind in (DUAL_ICOSAHEDRAL, DUAL_DODECAHEDRAL):
+        icosa = family.kind == DUAL_ICOSAHEDRAL
+        table = _ICOSA_SIGNS if icosa else _DODE_SIGNS
+        check_integer("ratio index", j, 1)
+        if j not in table:
+            raise InvalidParameterError(
+                f"ratio index {j} is not checkable for {family.label}")
+        signs = table[j]
+        domain = icosahedral_domain() if icosa else dodecahedral_domain()
+        matrix = (dual_icosahedral() if icosa else dual_dodecahedral()).matrix
+        num, den = matrix[:, 0], matrix[:, (_ICOSA_DENOM[j] if icosa else j) - 1]
+        margin = max(10 * _FD_STEP, _EDGE_MARGIN)
+        blocks = _triangle_grid(np.linspace(margin, 1.0 - margin, grid_resolution),
+                                1.0 - margin)
+        if not icosa and j == 8:
+            # The eighth projection vanishes along a line inside the
+            # triangle; its ratio is only asserted on the far side of the
+            # switching boundary, where that projection is bounded away
+            # from zero.
+            cut = 2.0 * math.sqrt(5.0) - 4.0
+            blocks = ((uu[keep], vv[keep]) for uu, vv in blocks
+                      for keep in [vv >= cut * (1.0 - uu) + _CUT_MARGIN])
+        points, names, where = domain.points, ("u", "v"), "(u,v)=({},{})"
+    else:
+        raise InvalidParameterError(f"no monotonicity facts for family {family.label}")
+
+    # Row-wise products, not a matrix product, so that a point's value does
+    # not depend on which block it falls in.
+    def ratio(*params: np.ndarray) -> np.ndarray:
+        pts = points(*params)
+        return np.abs((pts * num).sum(axis=1)) / np.abs((pts * den).sum(axis=1))
+
+    violations: list[list[Violation]] = [[] for _ in signs]
+    asserted = 0
+    for params in blocks:
+        for axis, sign in enumerate(signs):
+            if sign is None:
+                continue
+            shifted = lambda d: ratio(*(p + d if i == axis else p
+                                        for i, p in enumerate(params)))
+            deriv = (shifted(_FD_STEP) - shifted(-_FD_STEP)) / (2 * _FD_STEP)
+            check = np.abs(deriv) > _FD_ASSERT
+            asserted += int(check.sum())
+            for i in np.flatnonzero(check & (sign * deriv < 0)):
+                at = where.format(*(f"{p[i]:.9g}" for p in params))
+                violations[axis].append(Violation(f"sign(d/d{names[axis]}) at {at}",
+                                                  float(abs(deriv[i]))))
+    return MonotonicityReport(family, j, signs, asserted,
+                              tuple(v for axis in violations for v in axis))
 
 
 # ---------------------------------------------------------------------------

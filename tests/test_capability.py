@@ -53,6 +53,11 @@ class TestCapabilitySpec:
         with pytest.raises(InvalidParameterError):
             CapabilitySpec(1, 0, 2.0, 2.0)
 
+    @pytest.mark.parametrize("delta,Delta", [(1.0, math.inf), (1e-320, 1.0)])
+    def test_non_finite_ratio_rejected(self, delta, Delta):
+        with pytest.raises(InvalidParameterError):
+            CapabilitySpec(1, 0, delta, Delta)
+
     def test_derived_fields(self):
         spec = CapabilitySpec(1, 2, 0.5, 4.0)
         assert spec.ratio == pytest.approx(8.0)
@@ -76,6 +81,11 @@ class TestFeasiblePairs:
     def test_boundary_equality_is_feasible(self):
         ratio = 2 * (DODE.height(2).value + 1.0)
         assert (1, 0) in feasible_pairs(DODE, ratio)
+
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ratio_rejected(self, ratio):
+        with pytest.raises(InvalidParameterError):
+            feasible_pairs(ICOSA, ratio)
 
     def test_sorted_by_tau_then_sigma_descending(self):
         pairs = feasible_pairs(DODE, 50.0)

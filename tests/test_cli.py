@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,16 @@ class TestCapability:
         assert code == 1
         assert "error" in json.loads(out)
 
+    @pytest.mark.parametrize("args", [
+        ("--ratio", "nan"), ("--ratio", "inf"), ("--ratio=-inf",),
+        ("--tau", "1", "--sigma", "0", "--delta", "1", "--Delta", "inf"),
+        ("--tau", "1", "--sigma", "0", "--delta", "1e-320", "--Delta", "1"),
+    ])
+    def test_non_finite_ratio_is_domain_error(self, capsys, args):
+        code, out = invoke(capsys, "capability", "--family", "dual-dodecahedral", *args)
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "InvalidParameterError"
+
 
 class TestVerify:
     def test_cross_check_suite_passes(self, capsys):
@@ -193,7 +204,7 @@ class TestSampledSuites:
 
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_chunked_draws_match_scalar_draws(self, monkeypatch, seed):
-        monkeypatch.setattr(cli, "_CHUNK", 64)
+        monkeypatch.setattr(search, "_GRID_CHUNK", 64)
         for n in (3, 12):
             rng = np.random.default_rng(seed)
             batched = np.concatenate(list(cli._arc_chunks(rng, n, 1000)))
@@ -206,6 +217,24 @@ class TestSampledSuites:
         batched = [(u, v) for us, vs in chunks for u, v in zip(us.tolist(), vs.tolist())]
         assert batched == scalar_triangle_draws(np.random.default_rng(seed), 500)
 
+    def test_cross_check_chunking_keeps_output(self, capsys, monkeypatch):
+        argv = ("verify", "--suite", "cross-check", "--samples", "1000", "--seed", "4")
+        default = invoke(capsys, *argv)
+        monkeypatch.setattr(search, "_GRID_CHUNK", 64)
+        assert invoke(capsys, *argv) == default
+
+    def test_cross_check_memory_is_bounded_by_the_chunk(self, capsys):
+        # 50,000 normals per code, drawn and sorted whole, take over 10 MB.
+        tracemalloc.start()
+        try:
+            code, _ = invoke(capsys, "verify", "--suite", "cross-check",
+                             "--samples", "50000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 8 * 2**20
+
     @pytest.mark.parametrize("suite,table,wrong", [
         ("polygonal-order", "polygonal_rank_index", lambda n, k: k),
         ("icos-chain", "_ICOSA_CHAIN", (1, 5, 3, 4, 6, 2)),
@@ -215,7 +244,7 @@ class TestSampledSuites:
                                               suite, table, wrong):
         # A wrong rule table makes the counts nonzero, so the chunked array
         # pass must reproduce the scalar per-point checks on the same draws.
-        monkeypatch.setattr(cli, "_CHUNK", 64)
+        monkeypatch.setattr(search, "_GRID_CHUNK", 64)
         monkeypatch.setattr(search, table, wrong)
         rng = np.random.default_rng(3)
         if suite == "polygonal-order":
@@ -287,6 +316,16 @@ class TestExitCodes:
         code, out = invoke(capsys, "gen", "--family", "dual-polygonal")
         assert code == 1
         assert "error" in json.loads(out)
+
+    @pytest.mark.parametrize("family", ["dual-icosahedral", "dual-dodecahedral"])
+    @pytest.mark.parametrize("command", [
+        ("gen",), ("height", "--m", "1", "--method", "closed"),
+        ("profile", "--method", "closed"), ("capability", "--ratio", "6.5"),
+    ], ids=lambda c: c[0])
+    def test_n_for_polyhedral_family_is_exit_1(self, capsys, command, family):
+        code, out = invoke(capsys, *command, "--family", family, "--n", "5")
+        assert code == 1
+        assert "--n" in json.loads(out)["error"]["message"]
 
     def test_unknown_flag_is_exit_2(self, capsys):
         code, _ = invoke(capsys, "profile", "--family", "dual-icosahedral",

@@ -338,14 +338,18 @@ class TestMonotonicity:
 
     @pytest.mark.parametrize("flip", [False, True])
     def test_chunked_grid_matches_one_pass(self, monkeypatch, flip):
-        # Flipped sign tables make every ratio report violations, so the
+        # Flipped sign tables, and arc ratios one rank further down (whose
+        # sign is the opposite), make every ratio report violations, so the
         # chunked report must keep their labels and their order.
         if flip:
             for table in ("_ICOSA_SIGNS", "_DODE_SIGNS"):
                 monkeypatch.setattr(search, table, {
                     j: tuple(None if s is None else -s for s in signs)
                     for j, signs in getattr(search, table).items()})
-        cases = [(Family(DUAL_ICOSAHEDRAL), j) for j in (1, 2, 3)]
+            monkeypatch.setattr(search, "polygonal_rank_index",
+                                lambda n, k: polygonal_rank_index(n, k + 1))
+        cases = [(Family(DUAL_POLYGONAL, n), m) for n in (3, 8, 12) for m in range(1, n - 1)]
+        cases += [(Family(DUAL_ICOSAHEDRAL), j) for j in (1, 2, 3)]
         cases += [(Family(DUAL_DODECAHEDRAL), j) for j in (2, 4, 5, 6, 7, 8, 9, 10)]
         monkeypatch.setattr(search, "_GRID_CHUNK", 10**9)
         whole = [monotonicity_check(fam, j, 40) for fam, j in cases]
@@ -353,7 +357,19 @@ class TestMonotonicity:
         chunked = [monotonicity_check(fam, j, 40) for fam, j in cases]
         assert chunked == whole
         assert all(r.asserted > 0 for r in whole)
-        assert any(r.violations for r in whole) == flip
+        assert all(bool(r.violations) == flip for r in whole)
+
+    def test_arc_memory_is_bounded_by_the_chunk(self):
+        # The whole 200,000-angle grid, sorted as an (N, n) array, takes
+        # tens of MB.
+        tracemalloc.start()
+        try:
+            report = monotonicity_check(Family(DUAL_POLYGONAL, 12), 5, 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.asserted > 0 and report.ok
+        assert peak < 8 * 2**20
 
     def test_invalid_ratio_index(self):
         with pytest.raises(InvalidParameterError):

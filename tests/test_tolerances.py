@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import mheight
-from mheight import tolerances
+from mheight import exact_mheight, from_columns, is_mds, tolerances
 
 _SRC = Path(mheight.__file__).resolve().parent
 _MODULES = sorted(_SRC.glob("*.py"))
@@ -56,3 +56,18 @@ def test_policy_names_defined_only_in_tolerances(path):
     assigned = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
                 for target in node.targets if isinstance(target, ast.Name)}
     assert not assigned & set(_NAMES)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+@pytest.mark.parametrize("eps,finite", [
+    (1e-6, True), (1e-8, True), (2e-9, True), (5e-10, False), (1e-12, False)])
+def test_near_parallel_sweep(eps, finite, scale):
+    # The unit columns (1, 0) and ~(1, eps) span a |det| of about eps, so
+    # RANK_TOL = 1e-9 is where the huge but finite m=1 height, 2/eps at
+    # x = (-eps/2, 1), becomes inf and the code stops being MDS, at any scale.
+    g = from_columns([[scale, 0.0], [scale, scale * eps], [0.0, scale]])
+    height = exact_mheight(g, 1)
+    assert is_mds(g) is finite
+    assert height.infinite is not finite
+    if finite:
+        assert height.value == pytest.approx(2.0 / eps, rel=1e-9)
