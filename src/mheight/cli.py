@@ -366,6 +366,8 @@ def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
+        if args.command == "verify" and args.seed < 0:
+            parser.error("--seed must be >= 0")
         if args.command == "verify" and args.samples is not None:
             if args.suite in _SAMPLED_SUITES and args.samples < 1:
                 parser.error(f"--samples must be >= 1 for suite {args.suite}")

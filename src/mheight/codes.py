@@ -18,10 +18,11 @@ column scaling, so nothing downstream depends on the choice.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -311,21 +312,6 @@ def canonical_direction(vec: np.ndarray) -> np.ndarray:
     return -v if lead.size and lead[0] < 0 else v
 
 
-def independent_subsets(unit: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """Mask of the ``k``-column subsets of ``unit`` that are independent.
-
-    ``unit`` holds unit-length columns (:func:`unit_columns`) and each row of
-    ``subsets`` names ``k`` of them.  A subset is independent iff
-    ``|det| > RANK_TOL``; on unit columns the test is invariant to any
-    column scaling.  Determinants are taken a bounded batch at a time.
-    """
-    k = unit.shape[0]
-    step = max(1, CHUNK_ENTRIES // (k * k))
-    return np.concatenate([
-        np.abs(np.linalg.det(unit.T[subsets[i:i + step]])) > RANK_TOL
-        for i in range(0, len(subsets), step)])
-
-
 def column_subsets(n: int, r: int) -> np.ndarray:
     """All ``r``-subsets of ``range(n)`` in ``combinations`` order, ``(C(n, r), r)``."""
     count = math.comb(n, r)
@@ -334,12 +320,53 @@ def column_subsets(n: int, r: int) -> np.ndarray:
     return flat.reshape(count, r)
 
 
-def is_mds(generator: GeneratorMatrix) -> bool:
-    """True iff every ``k``-subset of columns is linearly independent.
+@functools.cache
+def _wedge_tables(k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """``(lower, axis)`` per step of the wedge ``p_0 ^ ... ^ p_(k-2)`` in R^k.
 
-    Independence is decided by :func:`independent_subsets` on unit-length
-    columns, so the answer is invariant to any column scaling.
+    Step ``r``'s coordinate ``T``, an ``(r+1)``-subset of axes, is the sum
+    of ``+-w[lower[i]] * p_r[axis[i]]`` over the axes of ``T``, the signs
+    alternating from ``+`` last.  The last step lists ``T = all axes but i``
+    by ``i``: negating its odd rows gives ``c . v = det[v, p_0 .. p_(k-2)]``.
     """
-    unit = unit_columns(generator.matrix)
-    subsets = column_subsets(generator.n, generator.k)
-    return bool(np.all(independent_subsets(unit, subsets)))
+    steps = []
+    for r in range(k - 1):
+        lower = {s: i for i, s in enumerate(combinations(range(k), r))}
+        upper = list(combinations(range(k), r + 1))[::-1 if r == k - 2 else 1]
+        steps.append((np.array([[lower[T[:i] + T[i + 1:]] for i in range(r + 1)]
+                                for T in upper]).T, np.array(upper).T))
+    return tuple(steps)
+
+
+def _prefix_minors(unit: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """``(chunk, after, cross, dets)`` per chunk of ``(k-1)``-column prefixes.
+
+    The rows of ``chunk`` are prefixes ``P`` from ``column_subsets(n, k-1)``.
+    ``cross[:, s]`` is the wedge-product cross product of the unit columns
+    in ``P_s``, so by Laplace expansion ``dets = |cross.T @ unit|`` holds the
+    |det| of each ``P_s + {j}``; ``after`` (which broadcasts against ``dets``)
+    marks ``j > max P_s``, which in ``combinations`` order are the
+    ``k``-subsets, each once.  The next chunk overwrites ``dets``.
+    """
+    k, n = unit.shape
+    prefixes = column_subsets(n, k - 1)
+    step = max(1, CHUNK_ENTRIES // (n + math.comb(k, k // 2)))
+    buffer = np.empty((min(step, len(prefixes)), n))
+    for chunk in (prefixes[i:i + step] for i in range(0, len(prefixes), step)):
+        cross = np.ones((1, len(chunk)))
+        for r, (lower, axis) in enumerate(_wedge_tables(k)):
+            col, wedge = unit[:, chunk[:, r]], 0.0
+            for below, t in zip(lower, axis):
+                wedge = cross[below] * col[t] - wedge
+            cross = wedge
+        cross[1::2] *= -1.0
+        dets = np.matmul(cross.T, unit, out=buffer[:len(chunk)])
+        yield (chunk, np.arange(n) > (chunk[:, -1:] if k > 1 else -1), cross,
+               np.abs(dets, out=dets))
+
+
+def is_mds(generator: GeneratorMatrix) -> bool:
+    """True iff every ``k``-subset of columns is linearly independent: its
+    |det| on unit columns exceeds ``RANK_TOL``, at any column scaling."""
+    return all(np.all((dets > RANK_TOL) | ~after)
+               for _, after, _, dets in _prefix_minors(unit_columns(generator.matrix)))

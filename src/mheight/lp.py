@@ -20,14 +20,15 @@ Each bounded optimum is a vertex ``u`` with ``u . g_j = +-1`` on ``k``
 independent columns (Roth's configuration-LP view), and each such vertex
 gives a genuine codeword ratio.  So for a full-row-rank ``G`` every finite
 m-height is the largest ``c_(0) / c_(m)`` over one *vertex pool*, in time
-polynomial in ``n`` for fixed ``k``.  Pool rows come in ``+-u`` pairs, so
+polynomial in ``n`` for fixed ``k``.  Its independent ``k``-subsets and
+the first infinite ``m`` come from one pass over the cross products of the
+``(k-1)``-column subsets.  Pool rows come in ``+-u`` pairs, so
 :func:`exact_profile` solves and sorts only the half with first sign
-``+1``; two sweeps over the rows near the maximum and their partners then
-find every witness at once.  All three passes go a bounded chunk at a time,
-so memory is one chunk plus the rows kept.  A rank-deficient generator
-(no independent ``k``-subset) has no pool: only then does the reference
-engine solve its configuration LPs one at a time, each by basic-solution
-enumeration in :func:`_solve_lp`.
+``+1``; two sweeps over the rows near the maximum and their partners find
+every witness.  Each pass goes a bounded chunk at a time.  Only a
+rank-deficient generator (no independent ``k``-subset) has no pool and
+takes the reference engine, one configuration LP at a time, each by
+basic-solution enumeration in :func:`_solve_lp`.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .codes import (CHUNK_ENTRIES, GeneratorMatrix, canonical_direction,
-                    check_integer, column_subsets, independent_subsets,
-                    power_of_two_scaled, unit_columns)
+from .codes import (CHUNK_ENTRIES, GeneratorMatrix, _prefix_minors,
+                    canonical_direction, check_integer, power_of_two_scaled,
+                    unit_columns)
 from .errors import CapacityError, InvalidParameterError
 from .heights import ExtendedHeight, MHeightProfile
 from .tolerances import FEAS_TOL, NEAR_TOL, RANK_TOL, TIE_TOL
@@ -199,26 +200,24 @@ def _solve_lp(rows: np.ndarray, rhs: np.ndarray, n_eq: int,
 # Vertex-pool engine
 
 
-def _flat_direction(unit: np.ndarray) -> tuple[int, np.ndarray]:
-    """Most zeros of a nonzero codeword of a full-row-rank code, and its ``u``.
+def _flat_direction(unit: np.ndarray) -> tuple[np.ndarray, int, np.ndarray | None]:
+    """Independent ``k``-subsets in ``combinations`` order (|det| above
+    ``RANK_TOL``), and the most zeros of a nonzero codeword with its ``u``.
 
-    Such a ``u`` is the null direction of ``k - 1`` independent (unit)
-    columns: their generalized cross product, whose dot product with a
-    column is the ``k x k`` determinant :func:`independent_subsets` tests.
+    Such a ``u`` is the cross product of ``k - 1`` independent columns (norm
+    above ``RANK_TOL``); its zeros are the ``j`` with |det| at most ``RANK_TOL``.
     """
-    k, n = unit.shape
-    subsets = column_subsets(n, k - 1)
-    most, flat = -1, None
-    step = max(1, CHUNK_ENTRIES // (k * n))
-    for start in range(0, len(subsets), step):
-        blocks = unit.T[subsets[start:start + step]]     # (S, k-1, k)
-        cross = np.stack([(-1) ** i * np.linalg.det(np.delete(blocks, i, axis=2))
-                          for i in range(k)], axis=1)
-        cross = cross[np.linalg.norm(cross, axis=1) > RANK_TOL]
-        zeros = (np.abs(cross @ unit) <= RANK_TOL).sum(axis=1)
-        if zeros.size and zeros.max() > most:
-            most, flat = int(zeros.max()), cross[int(np.argmax(zeros))]
-    return most, canonical_direction(flat)
+    good, most, flat = [], -1, None
+    for chunk, after, cross, dets in _prefix_minors(unit):
+        independent = dets > RANK_TOL
+        s, j = np.nonzero(independent & after)
+        good.append(np.column_stack([chunk[s], j]))
+        zeros = np.where(np.linalg.norm(cross, axis=0) > RANK_TOL,
+                         unit.shape[1] - independent.sum(axis=1), -1)
+        best = int(np.argmax(zeros))
+        if zeros[best] > most:
+            most, flat = int(zeros[best]), cross[:, best]
+    return np.concatenate(good), most, flat
 
 
 def _group_firsts(*keys: np.ndarray) -> np.ndarray:
@@ -343,14 +342,12 @@ def _mheight_pool(generator: GeneratorMatrix,
     """
     k, n = generator.k, generator.n
     mat, exponent = power_of_two_scaled(generator.matrix)
-    unit = unit_columns(mat)
-    subsets = column_subsets(n, k)
-    good = independent_subsets(unit, subsets)
-    if not good.any():
+    subsets, zeros, flat = _flat_direction(unit_columns(mat))
+    if not len(subsets):
         return None
-    zeros, flat = (k - 1, None) if good.all() else _flat_direction(unit)
-    finite = [m for m in ms if m < n - zeros]
-    found = dict(zip(finite, _pool_heights(mat, subsets[good], finite) if finite else ()))
+    mds = len(subsets) == math.comb(n, k)
+    finite = [m for m in ms if m < n - (k - 1 if mds else zeros)]
+    found = dict(zip(finite, _pool_heights(mat, subsets, finite) if finite else ()))
     heights = []
     for m in ms:
         if m in found:
@@ -358,8 +355,8 @@ def _mheight_pool(generator: GeneratorMatrix,
             heights.append(ExtendedHeight(value, witness=np.ldexp(u, -exponent)))
             continue
         # Columns m .. n-1, fewer than k of them, share a null direction.
-        ray = (canonical_direction(np.linalg.svd(mat[:, m:])[0][:, -1])
-               if m >= n - k + 1 else flat)
+        ray = canonical_direction(np.linalg.svd(mat[:, m:])[0][:, -1]
+                                  if m >= n - k + 1 else flat)
         heights.append(ExtendedHeight(math.inf, witness=tuple(ray)))
     return heights
 

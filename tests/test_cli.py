@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -195,6 +198,25 @@ class TestSampledSuites:
         assert code == 2
         assert captured.out == ""
         assert "--samples must be >= 0" in captured.err
+
+    @pytest.mark.parametrize("suite", cli._SUITES)
+    @pytest.mark.parametrize("seed", ["-1", "-5"])
+    def test_negative_seed_is_usage_error(self, capsys, suite, seed):
+        code = run(["verify", "--suite", suite, "--seed", seed])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--seed must be >= 0" in captured.err
+
+    def test_negative_seed_exits_2_without_traceback(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mheight.cli", "verify", "--suite", "icos-chain",
+             "--seed", "-5"], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--seed must be >= 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_cross_check_zero_samples_stays_valid(self, capsys):
         code, out = invoke(capsys, "verify", "--suite", "cross-check", "--samples", "0")

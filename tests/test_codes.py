@@ -1,6 +1,7 @@
 """Construction, encoding, and structural checks of the generator families."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,19 @@ class TestIsMds:
 
     def test_parallel_columns_fail(self):
         assert not is_mds(from_columns([(1.0, 0.0), (2.0, 0.0), (0.0, 1.0)]))
+
+    def test_memory_is_one_chunk(self):
+        # C(200, 3) subsets are decided a chunk of 2-column prefixes at a
+        # time, without building the subset array.
+        g = from_columns(np.random.default_rng(0).normal(size=(200, 3)))
+        tracemalloc.start()
+        try:
+            mds = is_mds(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mds
+        assert peak < 16 * 2**20
 
 
 class TestGeneratorMatrix:

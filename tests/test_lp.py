@@ -24,6 +24,7 @@ from mheight import (
     from_columns,
     polygonal_height,
 )
+import mheight.codes as codes_module
 import mheight.lp as lp_module
 import lp_oracle
 import pool_oracle
@@ -667,3 +668,60 @@ class TestPoolOracle:
         codes += [from_columns(rng.normal(size=(n, 3))) for n in range(4, 12)]
         assert self._compare(monkeypatch, codes)
         assert any(fallbacks) and not all(fallbacks)
+
+
+def _kernel_codes():
+    """Every ``_oracle_codes`` kind, random codes at k = 1 and 6..8, a zero
+    column, and the near-parallel columns (1, 0), (1, eps), (0, 1)."""
+    codes = [g for kind in ("builtin", "polygonal", "gaussian", "integer", "duplicated")
+             for g in _oracle_codes(kind)]
+    rng = np.random.default_rng(11)
+    for k in (1, 6, 7, 8):
+        for n in range(k, k + 5):
+            codes.append(from_columns(rng.normal(size=(n, k))))
+            codes.append(from_columns(rng.integers(-1, 2, size=(n, k)).astype(float)))
+    codes.append(from_columns([[1.0, 2.0, 0.5], [0.0, 0.0, 0.0], [3.0, -1.0, 2.0],
+                               [0.0, 1.0, 1.0]]))
+    codes += [from_columns([[s, 0.0], [s, s * eps], [0.0, s]])
+              for eps in (1e-6, 1e-8, 2e-9, 5e-10, 1e-12) for s in (1.0, 1e150, 1e-150)]
+    return codes
+
+
+class TestIndependenceKernel:
+    """The wedge-product minors of ``codes._prefix_minors`` pick the
+    independent ``k``-subsets exactly as LAPACK determinants would."""
+
+    def test_subsets_match_lapack_determinants(self):
+        for g in _kernel_codes():
+            unit = codes_module.unit_columns(g.matrix)
+            subsets = codes_module.column_subsets(g.n, g.k)
+            oracle = np.abs(np.linalg.det(unit.T[subsets])) > lp_module.RANK_TOL
+            good, _, _ = lp_module._flat_direction(unit)
+            assert np.array_equal(good, subsets[oracle]), g
+            assert is_mds(g) is bool(oracle.all()), g
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_cross_products_match_signed_minors(self, k):
+        n = k + 4
+        unit = codes_module.unit_columns(np.random.default_rng(k).normal(size=(k, n)))
+        blocks = unit.T[codes_module.column_subsets(n, k - 1)]
+        want = np.stack([(-1) ** i * np.linalg.det(np.delete(blocks, i, axis=2))
+                         for i in range(k)], axis=1)
+        got = np.concatenate([cross.T for _, _, cross, _ in
+                              codes_module._prefix_minors(unit)])
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_chunk_boundaries_change_nothing(self, monkeypatch):
+        codes = _kernel_codes()
+        whole = [lp_module._flat_direction(codes_module.unit_columns(g.matrix))
+                 for g in codes]
+        monkeypatch.setattr(codes_module, "CHUNK_ENTRIES", 100)
+        flats = 0
+        for g, (good, most, flat) in zip(codes, whole):
+            chunked = lp_module._flat_direction(codes_module.unit_columns(g.matrix))
+            assert np.array_equal(chunked[0], good), g
+            assert chunked[1] == most, g
+            if flat is not None:
+                assert np.array_equal(chunked[2], flat), g
+                flats += len(good) < math.comb(g.n, g.k)
+        assert flats > 50
