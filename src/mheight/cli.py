@@ -37,6 +37,8 @@ from .lp import exact_mheight, exact_profile
 _FAMILIES = (DUAL_POLYGONAL, DUAL_ICOSAHEDRAL, DUAL_DODECAHEDRAL)
 _SAMPLED_SUITES = ("polygonal-order", "icos-chain", "dode-ranks")
 _SUITES = (*_SAMPLED_SUITES, "monotonicity", "candidates", "cross-check")
+#: The smallest ``--samples`` each suite accepts; ``candidates`` takes none.
+_MIN_SAMPLES = {**dict.fromkeys(_SAMPLED_SUITES, 1), "monotonicity": 2, "cross-check": 0}
 _POLYGONAL_NS = range(3, 13)
 _MONOTONICITY_GRID = 50
 _MATCH_TOL = 1e-9       # verify contract: candidate and sampled heights
@@ -345,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True, choices=_SUITES)
     p_verify.add_argument("--samples", type=int, default=None,
                           help="sample count (randomized suites) or grid "
-                               "resolution (monotonicity)")
+                               "resolution (monotonicity); not for candidates")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -369,10 +371,11 @@ def run(argv: Sequence[str]) -> int:
         if args.command == "verify" and args.seed < 0:
             parser.error("--seed must be >= 0")
         if args.command == "verify" and args.samples is not None:
-            if args.suite in _SAMPLED_SUITES and args.samples < 1:
-                parser.error(f"--samples must be >= 1 for suite {args.suite}")
-            if args.suite == "cross-check" and args.samples < 0:
-                parser.error("--samples must be >= 0 for suite cross-check")
+            floor = _MIN_SAMPLES.get(args.suite)
+            if floor is None:
+                parser.error(f"--samples does not apply to suite {args.suite}")
+            if args.samples < floor:
+                parser.error(f"--samples must be >= {floor} for suite {args.suite}")
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return code

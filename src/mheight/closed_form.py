@@ -2,17 +2,18 @@
 
 The polygonal heights follow from the fixed ordering of the projections on
 the arc ``[0, pi/(2n)]`` (the ratio is monotone there, so the maximum sits
-at an endpoint); the polyhedral values are the known exact profiles of the
-icosahedral and dodecahedral axis codes, with maximizing directions taken
-from the small candidate sets that boundary analysis of the ratio
-objectives leaves possible.  Everything here is cross-checked against the
-LP engine by the test suite.
+at an endpoint).  The polyhedral profiles are the known exact profiles of
+the icosahedral and dodecahedral axis codes, stated as tables of values and
+maximizing directions and built once at import: no codeword is evaluated
+here.  The dodecahedral maximizers are entries of
+:func:`search.dodecahedral_candidates`, the points that boundary analysis
+of the ratio objectives leaves possible.  Everything here is cross-checked
+against the LP engine by the test suite.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .codes import (
 from .errors import UnsupportedFamilyError
 from .heights import ExtendedHeight, MHeightProfile
 from .search import dodecahedral_candidates, dodecahedral_domain
-from .tolerances import TIE_TOL
 
 _SQRT5 = math.sqrt(5.0)
 
@@ -61,89 +61,65 @@ def polygonal_height(n: int, m: int) -> ExtendedHeight:
     return ExtendedHeight(value, witness=(math.cos(alpha), math.sin(alpha)))
 
 
-def icosahedral_height(m: int) -> ExtendedHeight:
-    """Exact m-height of the icosahedral axis code (n=6, k=3)."""
-    check_integer("m", m, 1, 5)
+def _icosahedral_profile() -> tuple[ExtendedHeight, ...]:
+    """Heights for ``m = 1..5``: the first axis attains ``sqrt(5)`` for
+    ``m = 1, 2`` and the face centre ``2 + sqrt(5)`` for ``m = 3``.  For
+    ``m = 4, 5`` two axes can be zeroed at once, so the 5th order statistic
+    vanishes for a nonzero codeword."""
     g = dual_icosahedral().columns
-    if m in (1, 2):
-        return ExtendedHeight(_SQRT5, witness=tuple(g[0]))
-    if m == 3:
-        center = (g[0] + g[2] + g[4]) / 3.0
-        return ExtendedHeight(2.0 + _SQRT5, witness=tuple(center))
-    # Two axes can be zeroed simultaneously, so the 5th order statistic
-    # vanishes for a nonzero codeword.
-    return ExtendedHeight(math.inf, witness=(1.0, 0.0, 0.0))
+    axis = ExtendedHeight(_SQRT5, witness=tuple(g[0]))
+    center = (g[0] + g[2] + g[4]) / 3.0
+    inf = ExtendedHeight(math.inf, witness=(1.0, 0.0, 0.0))
+    return (axis, axis, ExtendedHeight(2.0 + _SQRT5, witness=tuple(center)), inf, inf)
 
 
-_DODE_VALUES = {
-    1: 3.0 / _SQRT5,
-    2: PHI,
-    3: 4.0 - _SQRT5,
-    4: 3.0,
-    5: 2.0 + _SQRT5,
-    6: 2.0 + _SQRT5,
-    7: 5.0 + 2.0 * _SQRT5,
-}
+#: ``(value, index into dodecahedral_candidates())`` for ``m = 1..7``; the
+#: indexed point is the unique maximizer among the six candidates.
+_DODECAHEDRAL_TABLE = ((3.0 / _SQRT5, 0), (PHI, 2), (4.0 - _SQRT5, 4), (3.0, 0),
+                       (2.0 + _SQRT5, 1), (2.0 + _SQRT5, 1), (5.0 + 2.0 * _SQRT5, 5))
 
 
-def _dode_candidate_argmax(ms: Sequence[int]) -> dict[int, tuple[float, ...]]:
-    """Maximizing direction among the six candidate points for each rank in ``ms``.
-
-    The candidates are encoded once; of two tied ratios the earlier wins.
-    """
+def _dodecahedral_profile() -> tuple[ExtendedHeight, ...]:
+    """Heights for ``m = 1..9``: the stated table, then for ``m = 8, 9`` a
+    direction orthogonal to two axes, which zeroes two codeword entries."""
     domain = dodecahedral_domain()
-    points = np.array([domain.point(u, v) for (u, v) in dodecahedral_candidates()])
-    mags = np.sort(np.abs(points @ dual_dodecahedral().matrix), axis=1)[:, ::-1]
-    argmax = {}
-    for m in ms:
-        best_ratio = -math.inf
-        for x, top, den in zip(points, mags[:, 0], mags[:, m]):
-            ratio = math.inf if den == 0.0 else top / den
-            if ratio > best_ratio + TIE_TOL:
-                best_ratio = ratio
-                argmax[m] = tuple(float(c) for c in x)
-    return argmax
-
-
-def _dodecahedral_heights(ms: Sequence[int]) -> list[ExtendedHeight]:
-    """Dodecahedral heights at each ``m`` in ``ms`` (all in ``[1, 9]``)."""
+    candidates = dodecahedral_candidates()
+    finite = tuple(ExtendedHeight(value, witness=tuple(domain.point(*candidates[i])))
+                   for value, i in _DODECAHEDRAL_TABLE)
     g = dual_dodecahedral().columns
-    argmax = _dode_candidate_argmax([m for m in ms if 3 <= m <= 7])
-    heights = []
-    for m in ms:
-        if m == 1:
-            heights.append(ExtendedHeight(_DODE_VALUES[1], witness=tuple(g[0])))
-        elif m == 2:
-            heights.append(ExtendedHeight(_DODE_VALUES[2], witness=tuple((g[0] + g[4]) / 2.0)))
-        elif m <= 7:
-            heights.append(ExtendedHeight(_DODE_VALUES[m], witness=argmax[m]))
-        else:
-            ray = canonical_direction(np.cross(g[0], g[1]))
-            heights.append(ExtendedHeight(math.inf, witness=tuple(ray)))
-    return heights
+    ray = ExtendedHeight(math.inf, witness=tuple(canonical_direction(np.cross(g[0], g[1]))))
+    return finite + (ray, ray)
+
+
+_ICOSAHEDRAL = _icosahedral_profile()
+_DODECAHEDRAL = _dodecahedral_profile()
+
+
+def icosahedral_height(m: int) -> ExtendedHeight:
+    """Exact m-height of the icosahedral axis code (n=6, k=3), from the
+    stated table: finite for ``m <= 3``, infinite for ``m = 4, 5``."""
+    check_integer("m", m, 1, 5)
+    return _ICOSAHEDRAL[m - 1]
 
 
 def dodecahedral_height(m: int) -> ExtendedHeight:
-    """Exact m-height of the dodecahedral axis code (n=10, k=3).
-
-    Finite for ``m <= 7``; for ``m = 8, 9`` a direction orthogonal to two
-    axes yields a nonzero codeword with two zero entries, hence infinity.
-    Witnesses for ``m = 3..7`` are resolved by evaluating the six candidate
-    maximizer points.
-    """
+    """Exact m-height of the dodecahedral axis code (n=10, k=3), from the
+    stated table: finite for ``m <= 7``, with a candidate point as witness;
+    infinite for ``m = 8, 9``."""
     check_integer("m", m, 1, 9)
-    return _dodecahedral_heights([m])[0]
+    return _DODECAHEDRAL[m - 1]
 
 
 def closed_profile(family: Family) -> MHeightProfile:
-    """Assemble the full closed-form profile for a built-in family."""
+    """The full closed-form profile of a built-in family; the polyhedral
+    ones are the stated tables."""
     if family.kind == DUAL_POLYGONAL:
         n = family.n
         heights = tuple(polygonal_height(n, m) for m in range(1, n))
     elif family.kind == DUAL_ICOSAHEDRAL:
-        heights = tuple(icosahedral_height(m) for m in range(1, 6))
+        heights = _ICOSAHEDRAL
     elif family.kind == DUAL_DODECAHEDRAL:
-        heights = tuple(_dodecahedral_heights(range(1, 10)))
+        heights = _DODECAHEDRAL
     else:
         raise UnsupportedFamilyError(
             f"no closed-form profile for family {family.label!r}")

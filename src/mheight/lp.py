@@ -40,8 +40,8 @@ from typing import Sequence
 import numpy as np
 
 from .codes import (CHUNK_ENTRIES, GeneratorMatrix, _prefix_minors,
-                    canonical_direction, check_integer, power_of_two_scaled,
-                    unit_columns)
+                    canonical_direction, check_integer, column_subsets,
+                    power_of_two_scaled, unit_columns)
 from .errors import CapacityError, InvalidParameterError
 from .heights import ExtendedHeight, MHeightProfile
 from .tolerances import FEAS_TOL, NEAR_TOL, RANK_TOL, TIE_TOL
@@ -66,7 +66,7 @@ def _vertex_candidates(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     m_rows, r = A.shape
     if m_rows < r:
         return np.empty((0, r))
-    idx = np.array(list(combinations(range(m_rows), r)))
+    idx = column_subsets(m_rows, r)
     blocks = A[idx]                               # (C, r, r)
     dets = np.abs(np.linalg.det(blocks))
     ok = dets > _DET_FLOOR
@@ -91,7 +91,7 @@ def _ray_candidates(A: np.ndarray, obj: np.ndarray) -> np.ndarray:
         return np.array([[1.0], [-1.0]])
     dirs: list[np.ndarray] = []
     if m_rows >= r - 1:
-        idx = np.array(list(combinations(range(m_rows), r - 1)))
+        idx = column_subsets(m_rows, r - 1)
         if r == 2:
             rows = A[idx[:, 0]]
             perp = np.column_stack([-rows[:, 1], rows[:, 0]])

@@ -1,5 +1,6 @@
 """CLI contract: documents, formats, determinism, exit codes."""
 
+import importlib
 import json
 import math
 import os
@@ -199,6 +200,19 @@ class TestSampledSuites:
         assert captured.out == ""
         assert "--samples must be >= 0" in captured.err
 
+    @pytest.mark.parametrize("suite, samples, message", [
+        ("monotonicity", "1", "--samples must be >= 2"),
+        ("monotonicity", "-5", "--samples must be >= 2"),
+        ("candidates", "-3", "--samples does not apply to suite candidates"),
+        ("candidates", "5", "--samples does not apply to suite candidates"),
+    ])
+    def test_grid_and_candidates_samples_usage_error(self, capsys, suite, samples, message):
+        code = run(["verify", "--suite", suite, "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
     @pytest.mark.parametrize("suite", cli._SUITES)
     @pytest.mark.parametrize("seed", ["-1", "-5"])
     def test_negative_seed_is_usage_error(self, capsys, suite, seed):
@@ -304,6 +318,24 @@ class TestLpGolden:
         code, out = invoke(capsys, *case["argv"])
         assert code == case.get("exit", 0)
         assert out == case["stdout"]
+
+
+class TestConsoleScript:
+    def test_script_targets_print_the_golden_gen(self, monkeypatch, capsys):
+        """``[project.scripts]`` names real functions that behave like
+        ``python -m mheight.cli``."""
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        argv = ["gen", "--family", "dual-icosahedral"]
+        golden = next(c for c in GOLDEN_CLI if c["argv"] == argv)
+        assert scripts
+        for name, target in scripts.items():
+            module, _, attr = target.partition(":")
+            entry = getattr(importlib.import_module(module), attr)
+            monkeypatch.setattr(sys, "argv", [name, *argv])
+            assert entry() == golden.get("exit", 0)
+            assert capsys.readouterr().out == golden["stdout"]
 
 
 class TestDeterminism:

@@ -21,7 +21,9 @@ from mheight import (
     icosahedral_height,
     polygonal_height,
 )
+from mheight import closed_form, codes
 from mheight.codes import CUSTOM, DUAL_DODECAHEDRAL, DUAL_ICOSAHEDRAL, DUAL_POLYGONAL
+from mheight.search import dodecahedral_candidates, dodecahedral_domain
 
 SQRT5 = math.sqrt(5.0)
 
@@ -153,6 +155,40 @@ class TestWitnessConsistency:
                 assert math.isinf(ratio)
             else:
                 assert ratio == pytest.approx(h.value, rel=1e-9)
+
+
+class TestStatedTables:
+    """The polyhedral profiles are stated tables; these tests check them."""
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_dodecahedral_witness_is_unique_candidate_maximizer(self, m):
+        g = dual_dodecahedral()
+        domain = dodecahedral_domain()
+        points = [tuple(domain.point(u, v)) for u, v in dodecahedral_candidates()]
+        ratios = [encode(g, x).height(m) for x in points]
+        h = dodecahedral_height(m)
+        best = points.index(h.witness)
+        assert all(r < ratios[best] * (1.0 - 1e-6)
+                   for i, r in enumerate(ratios) if i != best)
+        assert witness_ratio(g, h, m) == pytest.approx(h.value, rel=1e-9)
+
+    def test_answers_without_building_or_encoding(self, monkeypatch):
+        families = [Family(DUAL_ICOSAHEDRAL), Family(DUAL_DODECAHEDRAL)]
+        before = ([icosahedral_height(m) for m in range(1, 6)],
+                  [dodecahedral_height(m) for m in range(1, 10)],
+                  [closed_profile(f) for f in families])
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the closed route built or encoded a code")
+
+        for name in ("dual_dodecahedral", "dual_icosahedral", "dodecahedral_domain"):
+            monkeypatch.setattr(closed_form, name, boom)
+        monkeypatch.setattr(closed_form, "encode", boom, raising=False)
+        monkeypatch.setattr(codes, "encode", boom)
+        after = ([icosahedral_height(m) for m in range(1, 6)],
+                 [dodecahedral_height(m) for m in range(1, 10)],
+                 [closed_profile(f) for f in families])
+        assert after == before
 
 
 class TestClosedProfile:
