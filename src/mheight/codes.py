@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -299,9 +299,9 @@ def power_of_two_scaled(matrix: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def unit_columns(matrix: np.ndarray) -> np.ndarray:
-    """Columns scaled to unit length; zero columns stay zero."""
-    mat, _ = power_of_two_scaled(matrix)
-    norms = np.linalg.norm(mat, axis=0)
+    """Unit-length columns (zero ones stay zero), each first scaled by its own power of two."""
+    mat = np.ldexp(matrix, 1 - np.frexp(np.abs(matrix).max(axis=0))[1])
+    norms = np.sqrt(np.add.reduce(mat * mat))
     return mat / np.where(norms > 0.0, norms, 1.0)
 
 
@@ -314,10 +314,11 @@ def canonical_direction(vec: np.ndarray) -> np.ndarray:
 
 def column_subsets(n: int, r: int) -> np.ndarray:
     """All ``r``-subsets of ``range(n)`` in ``combinations`` order, ``(C(n, r), r)``."""
-    count = math.comb(n, r)
-    flat = np.fromiter(chain.from_iterable(combinations(range(n), r)),
-                       dtype=np.intp, count=count * r)
-    return flat.reshape(count, r)
+    rows = np.arange(n - r + 1)[:, None] if r else np.zeros((1, 0), np.intp)
+    for t in range(1, r):
+        s, j = (rows[:, -1:] < np.arange(n - r + t + 1)).nonzero()
+        rows = np.concatenate((rows[s], j[:, None]), axis=1)
+    return rows
 
 
 @functools.cache
@@ -350,11 +351,12 @@ def _prefix_minors(unit: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
     """
     k, n = unit.shape
     prefixes = column_subsets(n, k - 1)
+    first = unit[_wedge_tables(k)[0][1][0]] if k > 1 else np.ones((1, 1))  # step 0: p_0
     step = max(1, CHUNK_ENTRIES // (n + math.comb(k, k // 2)))
     buffer = np.empty((min(step, len(prefixes)), n))
     for chunk in (prefixes[i:i + step] for i in range(0, len(prefixes), step)):
-        cross = np.ones((1, len(chunk)))
-        for r, (lower, axis) in enumerate(_wedge_tables(k)):
+        cross = first[:, chunk[:, 0]] if k > 1 else first
+        for r, (lower, axis) in enumerate(_wedge_tables(k)[1:], start=1):
             col, wedge = unit[:, chunk[:, r]], 0.0
             for below, t in zip(lower, axis):
                 wedge = cross[below] * col[t] - wedge

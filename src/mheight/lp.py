@@ -24,9 +24,9 @@ polynomial in ``n`` for fixed ``k``.  Its independent ``k``-subsets and
 the first infinite ``m`` come from one pass over the cross products of the
 ``(k-1)``-column subsets.  Pool rows come in ``+-u`` pairs, so
 :func:`exact_profile` solves and sorts only the half with first sign
-``+1``; two sweeps over the rows near the maximum and their partners find
-every witness.  Each pass goes a bounded chunk at a time.  Only a
-rank-deficient generator (no independent ``k``-subset) has no pool and
+``+1``; the rows near the maximum and their partners are kept as entry
+classes, and two sweeps over them find every witness.  Each pass goes a
+bounded chunk at a time.  Only a rank-deficient generator has no pool and
 takes the reference engine, one configuration LP at a time, each by
 basic-solution enumeration in :func:`_solve_lp`.
 """
@@ -60,12 +60,20 @@ _POINT_CAP = 1e14       # a vertex candidate this large is discarded
 _RAY_FLOOR = 1e-9       # null-direction norm, or relative singular value
 _SVD_FLOOR = 1e-10      # relative singular value counted in the rank
 
+_KEY_BITS = 52          # columns per float64 word of a top set's key
+#: Witness weights per entry class (small, near-unit, big, +1) off the top set,
+#: then on it (at ``_SIDE``).  A feasible row (nothing small on the set, nothing
+#: big off it) sums to its count of +1 entries off the set, any other below 0.
+_CLASS_WEIGHTS = np.array([0.0, 0.0, -2.0**40, 1.0, -2.0**40, 0.0, 0.0, 0.0])
+_SIDE = np.array([0, 4], np.int8)[:, None, None]
+#: Per ``k``, the sign vectors with first sign +1, in ``product`` order.
+_HALF_SIGNS = [np.array(list(product((-1.0, 1.0), repeat=k)))[(1 << k) // 2:]
+               for k in range(_MAX_DIM + 1)]
+
 
 def _vertex_candidates(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solutions of every nonsingular ``r x r`` active subsystem, stacked."""
     m_rows, r = A.shape
-    if m_rows < r:
-        return np.empty((0, r))
     idx = column_subsets(m_rows, r)
     blocks = A[idx]                               # (C, r, r)
     dets = np.abs(np.linalg.det(blocks))
@@ -90,24 +98,22 @@ def _ray_candidates(A: np.ndarray, obj: np.ndarray) -> np.ndarray:
     if r == 1:
         return np.array([[1.0], [-1.0]])
     dirs: list[np.ndarray] = []
-    if m_rows >= r - 1:
-        idx = column_subsets(m_rows, r - 1)
-        if r == 2:
-            rows = A[idx[:, 0]]
-            perp = np.column_stack([-rows[:, 1], rows[:, 0]])
-            keep = np.linalg.norm(perp, axis=1) > _RAY_FLOOR
-            dirs.append(perp[keep])
-        elif r == 3:
-            cross = np.cross(A[idx[:, 0]], A[idx[:, 1]])
-            keep = np.linalg.norm(cross, axis=1) > _RAY_FLOOR
-            dirs.append(cross[keep] / np.linalg.norm(cross[keep], axis=1, keepdims=True))
-        else:
-            for rows_idx in idx:
-                block = A[rows_idx]
-                _, s, vt = np.linalg.svd(block)
-                if s[-1] <= _RAY_FLOOR * max(1.0, float(s[0])):
-                    continue
-                dirs.append(vt[r - 1][None, :])
+    if r == 2:
+        perp = np.column_stack([-A[:, 1], A[:, 0]])
+        keep = np.linalg.norm(perp, axis=1) > _RAY_FLOOR
+        dirs.append(perp[keep])
+    elif r == 3:
+        idx = column_subsets(m_rows, 2)
+        cross = np.cross(A[idx[:, 0]], A[idx[:, 1]])
+        keep = np.linalg.norm(cross, axis=1) > _RAY_FLOOR
+        dirs.append(cross[keep] / np.linalg.norm(cross[keep], axis=1, keepdims=True))
+    else:
+        for rows_idx in column_subsets(m_rows, r - 1):
+            block = A[rows_idx]
+            _, s, vt = np.linalg.svd(block)
+            if s[-1] <= _RAY_FLOOR * max(1.0, float(s[0])):
+                continue
+            dirs.append(vt[r - 1][None, :])
     nrm = float(np.linalg.norm(obj))
     if nrm > _ZERO_ROW:
         dirs.append((obj / nrm)[None, :])
@@ -166,7 +172,7 @@ def _solve_lp(rows: np.ndarray, rhs: np.ndarray, n_eq: int,
     is_eq = np.arange(len(rows)) < n_eq
     norms = np.array([np.linalg.norm(row) for row in rows])
     keep = norms > _ZERO_ROW
-    if (np.where(is_eq, np.abs(rhs), rhs)[~keep] > FEAS_TOL).any():
+    if not keep.all() and (np.where(is_eq, np.abs(rhs), rhs)[~keep] > FEAS_TOL).any():
         return None
     A, rhs, is_eq = rows[keep] / norms[keep, None], rhs[keep] / norms[keep], is_eq[keep]
 
@@ -202,29 +208,26 @@ def _solve_lp(rows: np.ndarray, rhs: np.ndarray, n_eq: int,
 
 def _flat_direction(unit: np.ndarray) -> tuple[np.ndarray, int, np.ndarray | None]:
     """Independent ``k``-subsets in ``combinations`` order (|det| above
-    ``RANK_TOL``), and the most zeros of a nonzero codeword with its ``u``.
+    ``RANK_TOL``), and for a non-MDS code the most zeros of a nonzero codeword
+    with its ``u`` (-1 and None for an MDS code, which has ``k - 1``).
 
     Such a ``u`` is the cross product of ``k - 1`` independent columns (norm
-    above ``RANK_TOL``); its zeros are the ``j`` with |det| at most ``RANK_TOL``.
+    above ``RANK_TOL``); its zeros, counted from the first chunk with a dependent
+    ``k``-subset on, are the ``j`` with |det| at most ``RANK_TOL``.
     """
-    good, most, flat = [], -1, None
+    good, most, flat, dependent = [], -1, None, False
     for chunk, after, cross, dets in _prefix_minors(unit):
         independent = dets > RANK_TOL
-        s, j = np.nonzero(independent & after)
-        good.append(np.column_stack([chunk[s], j]))
-        zeros = np.where(np.linalg.norm(cross, axis=0) > RANK_TOL,
-                         unit.shape[1] - independent.sum(axis=1), -1)
-        best = int(np.argmax(zeros))
-        if zeros[best] > most:
-            most, flat = int(zeros[best]), cross[:, best]
+        s, j = (independent & after).nonzero()
+        good.append(np.concatenate([chunk[s], j[:, None]], axis=1))
+        dependent = dependent or len(s) < np.count_nonzero(after)
+        if dependent:
+            zeros = np.where(np.sqrt(np.add.reduce(cross * cross)) > RANK_TOL,
+                             unit.shape[1] - np.add.reduce(independent, axis=1), -1)
+            best = int(np.argmax(zeros))
+            if zeros[best] > most:
+                most, flat = int(zeros[best]), cross[:, best]
     return np.concatenate(good), most, flat
-
-
-def _group_firsts(*keys: np.ndarray) -> np.ndarray:
-    """In ``np.lexsort(keys)`` order, the first row of each last-key value."""
-    order = np.lexsort(keys)
-    group = keys[-1][order]
-    return np.concatenate([order[:1], order[1:][group[1:] != group[:-1]]])
 
 
 def _pool_heights(mat: np.ndarray, subsets: np.ndarray,
@@ -232,102 +235,100 @@ def _pool_heights(mat: np.ndarray, subsets: np.ndarray,
     """``(height, witness)`` at each finite ``m`` in ``ms``, by one sorted pass.
 
     The half pool is every ``u`` with first sign ``+1`` and ``u . g_j = +-1``
-    on the ``k``-subsets ``subsets``, solved a chunk of subsets at a time;
-    rows within ``NEAR_TOL`` of the running maximum ratio are kept.  The
-    witness is the configuration-LP optimum over the kept rows and their
-    partners ``0.0 - u`` in full-pool order: the lexicographically
-    first top set ``X`` feasible for a row tied with the maximum, then the
-    first row feasible for ``X`` whose largest magnitude on ``X`` is
-    greatest, which is the value.  Each sweep makes a row's magnitude tests
-    once, not once per ``m``.
+    on the ``k``-subsets ``subsets``, solved a chunk of subsets at a time.
+    Rows within ``NEAR_TOL`` of the running maximum ratio are kept with their
+    partners ``0.0 - u`` as entry classes, a column per row, and magnitudes, a
+    column per pair: class 0 below ``1 - tol``, 1 near-unit, 2 above ``1 +
+    tol``, 3 within ``tol`` of ``+1``.  The witness is the configuration-LP
+    optimum, ties going to the row first in full-pool order (``place``): the
+    lexicographically first top set ``X`` feasible for a tied row, then the
+    first feasible row whose largest magnitude on ``X``, the value, is greatest.
     """
     k, n = mat.shape
     h = 1 << (k - 1)
-    signs = np.array(list(product((-1.0, 1.0), repeat=k)))[h:]
     ms = np.asarray(ms)
-    best = np.full(len(ms), -np.inf)
-    kept = []
+    tol = FEAS_TOL * np.sqrt(np.add.reduce(mat * mat))[:, None]
+    best, kept = np.full(len(ms), -np.inf), []
     step = max(1, CHUNK_ENTRIES // (2 * h * n))
     for start in range(0, len(subsets), step):
         blocks = mat.T[subsets[start:start + step]]
-        sols = np.linalg.solve(blocks, np.broadcast_to(signs.T, (len(blocks), k, h)))
+        sols = np.linalg.solve(blocks, np.broadcast_to(_HALF_SIGNS[k].T, (len(blocks), k, h)))
         cands = sols.transpose(0, 2, 1).reshape(-1, k)
         code = cands @ mat
         mags = np.sort(np.abs(code), axis=1)
         with np.errstate(divide="ignore"):
-            ratios = mags[:, n - 1:] / mags[:, n - 1 - ms]
-        best = np.maximum(best, ratios.max(axis=0))
-        near = np.flatnonzero((ratios >= best * (1.0 - NEAR_TOL)).any(axis=1))
+            ratios = mags[:, n - 1].copy() / mags.T[n - 1 - ms]
+        best = np.maximum(best, ratios.max(axis=1))
+        near = (ratios >= best[:, None] * (1.0 - NEAR_TOL)).any(axis=0).nonzero()[0]
         if near.size:
             # Row b * h + j is sign vector h + j of subset b; its partner,
             # sign vector h - 1 - j, comes before it in the full pool.
-            place = near + h * (near // h + 1)
-            order = np.argsort(np.concatenate([place + 2 * h - 1 - 2 * (place % (2 * h)),
-                                               place]))
-            kept.append((order, np.hstack([cands[near], code[near]]), ratios[near]))
-    tol = FEAS_TOL * np.linalg.norm(mat, axis=0)
+            b, j = np.divmod(near, h)
+            place, u, code = 2 * h * (b + start) + h, cands[near], code[near].T.copy()
+            mags = np.abs(code)                 # a partner's magnitudes are its row's
+            cls = np.add(mags >= 1.0 - tol, mags > 1.0 + tol, dtype=np.int8)
+            one = np.abs(np.concatenate([code, 0.0 - code], axis=1) - 1.0) <= tol
+            cls = np.concatenate([cls, cls], axis=1) + one.view(np.int8) * 2
+            kept.append((np.concatenate([u, 0.0 - u]), np.concatenate([place + j, place - 1 - j]),
+                         ratios[:, near], mags, cls))
 
-    def chunks():
-        """Rows in full-pool order, with magnitude tests: above ``1 + tol``,
-        within ``tol`` of 1, and within ``tol`` of ``+1``."""
-        for order, rows, ratios in kept:
-            rows = np.concatenate([0.0 - rows, rows])[order]
-            mags = np.abs(rows[:, k:])
-            big = mags > 1.0 + tol
-            yield (rows[:, :k], ratios[order % len(ratios)], mags, big,
-                   (mags >= 1.0 - tol) & ~big, np.abs(rows[:, k:] - 1.0) <= tol)
-
+    # Sweep 1: a row's first X is its big entries and first ``room`` near-unit
+    # ones, the last +1 among them giving way to the next if they hold every
+    # +1: the first ``room + 1`` but one.  Its key (bit j at 2**-j) is largest.
+    col = np.arange(n)
+    word, power = col // _KEY_BITS, 2.0 ** (_KEY_BITS - 1 - col % _KEY_BITS)
+    weight = np.where(word == np.arange(word[-1] + 1)[:, None], power, 0.0)
+    below, key = 1.0 * (col[:, None] >= col), np.full((len(weight), len(ms)), -1.0)
+    live = np.where(np.isfinite(best), best * (1.0 - TIE_TOL), np.nan)[:, None]  # none for inf
     pairs = max(1, CHUNK_ENTRIES // n)          # (row, m) pairs per batch
-    first_tied = np.full((len(ms), k), np.nan)
-    has, packed = np.empty(0, np.intp), np.empty((0, (n + 7) // 8), np.uint8)
-    for cands, ratios, mags, big, mid, one in chunks():
-        tied = ratios >= best * (1.0 - TIE_TOL)
-        new = tied.any(axis=0) & np.isnan(first_tied[:, 0])
-        first_tied[new] = cands[tied.argmax(axis=0)[new]]
-        # A row's first X holds its magnitudes above 1 + tol and its first
-        # near-unit ones; if those take every +1 entry, the last of them
-        # gives way to the next near-unit index.
-        r, i = np.nonzero(tied & np.isfinite(best))
-        room = ms[i] - big.sum(axis=1)[r]
-        ok = one.any(axis=1)[r] & (room >= 0) & (room < mid.sum(axis=1)[r])
-        r, i, room = r[ok], i[ok], room[ok, None]
-        rank = np.cumsum(mid, axis=1)
-        last = n - 1 - np.argmax(one[:, ::-1], axis=1)
+    for u, place, ratios, mags, cls in kept:
+        mid = cls & 1
+        count = below @ mid                     # near-unit entries up to each
+        last = count.max(axis=0, where=cls == 3, initial=0.0)
+        rank = np.where(cls == 0, n + 1.0, count * mid)
+        room = ms[:, None] + 1 - np.add.reduce(cls == 2, axis=0)
+        i, r = (np.concatenate([ratios >= live] * 2, axis=1) & (last > 0.0)
+                & (room > 0) & (room <= count[-1])).nonzero()
+        room, last = room[i, r], np.minimum(last[r], room[i, r])
         for s in range(0, len(r), pairs):
-            rs, ro = r[s:s + pairs], room[s:s + pairs]
-            top = big[rs] | (mid[rs] & (rank[rs] <= ro))
-            full = ~(one[rs] & ~top).any(axis=1)
-            top[np.flatnonzero(full), last[rs[full]]] = False
-            top |= full[:, None] & mid[rs] & (rank[rs] == ro + 1)
-            # A set is lexicographically first when its complement mask is.
-            has = np.concatenate([has, i[s:s + pairs]])
-            packed = np.concatenate([packed, np.packbits(~top, axis=1)])
-            first = _group_firsts(*packed.T[::-1], has)
-            has, packed = has[first], packed[first]
-    tops = ~np.unpackbits(packed, axis=1, count=n).astype(bool)
-    on_top = tops.T.astype(float)
+            at = rank[:, r[s:s + pairs]]
+            top = (at <= room[s:s + pairs]) & (at != last[s:s + pairs])
+            words = np.concatenate([key, weight @ top], axis=1)
+            group = np.concatenate([np.arange(len(ms)), i[s:s + pairs]])
+            for w in range(len(key)):           # the largest key per m, word by word
+                keep = words[w - 1] == key[w - 1, group] if w else slice(None)
+                words, group, key[w] = words[:, keep], group[keep], -1.0
+                np.maximum.at(key[w], group, words[w])
+    has = (key[0] >= 0.0).nonzero()[0]
+    tops = key[word][:, has] % (2.0 * power[:, None]) >= power[:, None]
 
-    # Where no tied row passes the tolerance tests, the first one answers.
-    heights = [(float(best[c]), first_tied[c]) for c in range(len(ms))]
-    value = np.full(len(has), -np.inf)
-    for cands, ratios, mags, big, mid, one in chunks():
-        # Feasible for X: near, magnitudes >= 1 - tol on X and <= 1 + tol
-        # off it, and a +1 off it.  Off X, ``score`` sums to >= 1 iff there
-        # is a +1 and nothing above 1 + tol.
-        score = one - (n + 1.0) * big
-        feasible = ((ratios[:, has] >= best[has] * (1.0 - NEAR_TOL))
-                    & (~(big | mid) @ on_top == 0)
-                    & (score.sum(axis=1)[:, None] - score @ on_top >= 1))
-        c, r = np.nonzero(feasible.T)
+    # Sweep 2: each X's first greatest near feasible row, as value, place, row.
+    sides, sets = np.concatenate([~tops, tops]).astype(float), np.arange(len(has))
+    value, front = np.full(len(has), -np.inf), np.full(len(has), np.inf)
+    row = np.empty((len(has), k))
+    for u, place, ratios, mags, cls in kept:
+        near = ratios[has] >= best[has, None] * (1.0 - NEAR_TOL)
+        sums = sides.T @ _CLASS_WEIGHTS.take(cls + _SIDE).reshape(2 * n, -1)
+        c, r = (np.concatenate([near, near], axis=1) & (sums >= 1.0)).nonzero()
         for s in range(0, len(r), pairs):
             cs, rs = c[s:s + pairs], r[s:s + pairs]
-            local = np.where(tops[cs], mags[rs], 0.0).max(axis=1)
-            first = _group_firsts(rs, -local, cs)       # per X, first greatest
-            first = first[local[first] > value[cs[first]]]
-            value[cs[first]] = local[first]
-            for j in first:
-                heights[has[cs[j]]] = (float(local[j]), cands[rs[j]].copy())
-    return heights
+            local = np.where(tops[:, cs], mags[:, rs % mags.shape[1]], 0.0).max(axis=0)
+            value = np.concatenate([value, local])
+            front, row = np.concatenate([front, place[rs]]), np.concatenate([row, u[rs]])
+            order = np.lexsort((front, -value, np.concatenate([sets, cs])))
+            first = order[np.searchsorted(np.concatenate([sets, cs])[order], sets)]
+            value, front, row = value[first], front[first], row[first]
+    values, witness, done = best.copy(), np.full((len(ms), k), np.nan), front < np.inf
+    values[has[done]], witness[has[done]] = value[done], row[done]
+
+    # Where no tied row passes the tolerance tests, the first tied one answers.
+    lost = np.isnan(witness[:, 0])
+    for u, place, ratios, _, _ in kept if lost.any() else ():
+        tied = ratios >= best[:, None] * (1.0 - TIE_TOL)
+        first = np.where(np.concatenate([tied, tied], axis=1), place, np.inf).argmin(axis=1)
+        new = lost & tied.any(axis=1)
+        witness[new], lost = u[first[new]], lost & ~new
+    return list(zip(values.tolist(), witness))
 
 
 def _mheight_pool(generator: GeneratorMatrix,
@@ -347,18 +348,15 @@ def _mheight_pool(generator: GeneratorMatrix,
         return None
     mds = len(subsets) == math.comb(n, k)
     finite = [m for m in ms if m < n - (k - 1 if mds else zeros)]
-    found = dict(zip(finite, _pool_heights(mat, subsets, finite) if finite else ()))
-    heights = []
-    for m in ms:
-        if m in found:
-            value, u = found[m]
-            heights.append(ExtendedHeight(value, witness=np.ldexp(u, -exponent)))
-            continue
-        # Columns m .. n-1, fewer than k of them, share a null direction.
-        ray = canonical_direction(np.linalg.svd(mat[:, m:])[0][:, -1]
-                                  if m >= n - k + 1 else flat)
-        heights.append(ExtendedHeight(math.inf, witness=tuple(ray)))
-    return heights
+    pool = _pool_heights(mat, subsets, finite) if finite else []
+    rows = np.array([u for _, u in pool]).reshape(-1, k)
+    # Undo the scaling, by a smaller power of two where it would overflow.
+    room = 1024 - np.frexp(np.abs(rows).max(axis=1, initial=0.0))[1]
+    rows = np.ldexp(rows, np.minimum(-exponent, room)[:, None]).tolist()
+    found = {m: ExtendedHeight(v, witness=u) for m, (v, _), u in zip(finite, pool, rows)}
+    # Columns m .. n-1, fewer than k of them, share a null direction.
+    return [found.get(m) or ExtendedHeight(math.inf, witness=canonical_direction(
+        np.linalg.svd(mat[:, m:])[0][:, -1] if m >= n - k + 1 else flat).tolist()) for m in ms]
 
 
 def _mheight_reference(generator: GeneratorMatrix, m: int) -> ExtendedHeight:

@@ -1,5 +1,6 @@
 """Construction, encoding, and structural checks of the generator families."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -190,6 +191,25 @@ class TestIsMds:
             tracemalloc.stop()
         assert mds
         assert peak < 16 * 2**20
+
+
+class TestColumnSubsets:
+    @pytest.mark.parametrize("n", range(13))
+    def test_matches_combinations(self, n):
+        for r in range(n + 2):
+            want = list(itertools.combinations(range(n), r))
+            got = mheight.codes.column_subsets(n, r)
+            assert got.shape == (len(want), r) and got.dtype == np.intp
+            assert [tuple(row) for row in got.tolist()] == want, (n, r)
+
+
+class TestUnitColumns:
+    @pytest.mark.parametrize("e", [162, 170, 300])
+    def test_column_far_below_the_peak(self, e):
+        mat = np.array([[1.0, 0.0, 1.0], [0.0, 10.0 ** -e, 1.0]])
+        unit = mheight.codes.unit_columns(mat)
+        np.testing.assert_array_equal(unit[:, 1], [0.0, 1.0])
+        assert np.linalg.norm(unit, axis=0) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestGeneratorMatrix:
