@@ -84,7 +84,7 @@ class GeneratorMatrix:
 
     def __init__(self, matrix: np.ndarray | Sequence[Sequence[float]],
                  family: Family) -> None:
-        mat = np.array(matrix, dtype=float)
+        mat = _real_array(matrix).astype(float)
         if mat.ndim != 2:
             raise InvalidParameterError("generator matrix must be 2-D")
         k, n = mat.shape
@@ -225,6 +225,8 @@ def encode(generator: GeneratorMatrix, u: Sequence[float] | np.ndarray) -> Codew
     if vec.shape != (generator.k,):
         raise InvalidParameterError(
             f"information vector must have shape ({generator.k},), got {vec.shape}")
+    if not all(map(math.isfinite, vec.tolist())):
+        raise InvalidParameterError("information vector entries must be finite")
     entries = vec @ generator.matrix
     mags = np.abs(entries)
     # stable sort on the negated magnitudes -> ties broken by ascending index
@@ -270,7 +272,7 @@ def from_columns(columns: Iterable[Sequence[float]]) -> GeneratorMatrix:
     least ``k`` of them.  No rank condition is imposed here; use
     :func:`is_mds` for that.
     """
-    cols = [np.asarray(c, dtype=float) for c in columns]
+    cols = [_real_array(c) for c in columns]
     if not cols:
         raise InvalidParameterError("from_columns needs at least one column")
     k = cols[0].shape[0] if cols[0].ndim == 1 else -1
@@ -285,17 +287,23 @@ def from_columns(columns: Iterable[Sequence[float]]) -> GeneratorMatrix:
     return GeneratorMatrix(np.column_stack(cols), Family(CUSTOM))
 
 
+def _real_array(values: object) -> np.ndarray:
+    """``values`` as an array; complex, string and object entries raise."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise InvalidParameterError(f"generator entries must be real numbers, got {arr.dtype}")
+    return arr
+
+
 def power_of_two_scaled(matrix: np.ndarray) -> tuple[np.ndarray, int]:
     """``(matrix * 2**-e, e)`` with the largest magnitude in ``[1, 2)``.
 
     Scaling by a power of two is exact in binary floating point, so it
     changes no ratio and is a no-op for the built-in families.
     """
-    peak = float(np.max(np.abs(matrix)))
-    if peak == 0.0:
-        return matrix, 0
-    exponent = math.frexp(peak)[1] - 1
-    return np.ldexp(matrix, -exponent), exponent
+    peak = float(np.abs(matrix).max())
+    exponent = math.frexp(peak)[1] - 1 if peak else 0
+    return (np.ldexp(matrix, -exponent) if exponent else matrix), exponent
 
 
 def unit_columns(matrix: np.ndarray) -> np.ndarray:

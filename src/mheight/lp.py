@@ -28,7 +28,8 @@ the first infinite ``m`` come from one pass over the cross products of the
 classes, and two sweeps over them find every witness.  Each pass goes a
 bounded chunk at a time.  Only a rank-deficient generator has no pool and
 takes the reference engine, one configuration LP at a time, each by
-basic-solution enumeration in :func:`_solve_lp`.
+basic-solution enumeration in :func:`_solve_lp`.  Both engines run on ``G``
+rescaled by one power of two in :func:`_heights`, so neither sees its scale.
 """
 
 from __future__ import annotations
@@ -167,38 +168,22 @@ def _solve_lp(rows: np.ndarray, rhs: np.ndarray, n_eq: int,
     Returns ``(value, point)`` at an optimum, ``(inf, ray)`` along an
     improving feasible ray, or None if infeasible.  Rows are scaled to unit
     norm; a zero row is dropped, or makes the LP infeasible if its
-    right-hand side cannot be met (``0 . u = 1``, say).
+    right-hand side cannot be met (``0 . u = 1``, say).  A configuration LP's
+    objective is one of its rows, so it lies in their span, which is all
+    this solver handles.
     """
     is_eq = np.arange(len(rows)) < n_eq
-    norms = np.array([np.linalg.norm(row) for row in rows])
+    norms = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
     keep = norms > _ZERO_ROW
     if not keep.all() and (np.where(is_eq, np.abs(rhs), rhs)[~keep] > FEAS_TOL).any():
         return None
     A, rhs, is_eq = rows[keep] / norms[keep, None], rhs[keep] / norms[keep], is_eq[keep]
 
-    if A.shape[0] == 0:
-        nrm = float(np.linalg.norm(objective))
-        if nrm > _ZERO_ROW:
-            return math.inf, objective / nrm
-        return 0.0, np.zeros(len(objective))
-
-    # Reduce to the span of the constraint rows.  Directions orthogonal to
-    # every row are free: if the objective has such a component the problem
-    # is unbounded as soon as it is feasible, otherwise the optimization
-    # lives entirely inside the row space and becomes pointed there.
+    # Reduce to the span of the rows, where the feasible set is pointed.
     _, svals, vt = np.linalg.svd(A, full_matrices=True)
     rank = int(np.sum(svals > _SVD_FLOOR * max(1.0, float(svals[0]))))
     basis = vt[:rank].T                      # (dim, rank)
-    obj_in = basis.T @ objective
-    obj_out = objective - basis @ obj_in
-
-    A_red = A @ basis                        # row norms are preserved
-    if float(np.linalg.norm(obj_out)) > FEAS_TOL:
-        if _enumerate_core(A_red, rhs, is_eq, np.zeros(rank)) is None:
-            return None
-        return math.inf, obj_out / np.linalg.norm(obj_out)
-
-    result = _enumerate_core(A_red, rhs, is_eq, obj_in)
+    result = _enumerate_core(A @ basis, rhs, is_eq, basis.T @ objective)
     return None if result is None else (result[0], basis @ result[1])
 
 
@@ -331,31 +316,24 @@ def _pool_heights(mat: np.ndarray, subsets: np.ndarray,
     return list(zip(values.tolist(), witness))
 
 
-def _mheight_pool(generator: GeneratorMatrix,
-                  ms: Sequence[int]) -> list[ExtendedHeight] | None:
-    """Heights at ``ms`` from the vertex pool, or None for a rank-deficient
-    ``G`` (no independent ``k``-subset).
+def _mheight_pool(mat: np.ndarray,
+                  ms: Sequence[int]) -> list[tuple[float, Sequence[float]]] | None:
+    """``(height, witness)`` at ``ms`` from the vertex pool, or None for a
+    rank-deficient ``G`` (no independent ``k``-subset).
 
-    ``G`` is rescaled by a power of two (exact) and independence is decided
-    on unit columns, so no decision depends on scale.  Infinite heights
-    start at ``m = n - z``, ``z`` being the most zeros of a nonzero
-    codeword; an MDS code has ``z = k - 1``.
+    Independence is decided on unit columns, so no decision depends on
+    scale.  Infinite heights start at ``m = n - z``, ``z`` being the most
+    zeros of a nonzero codeword; an MDS code has ``z = k - 1``.
     """
-    k, n = generator.k, generator.n
-    mat, exponent = power_of_two_scaled(generator.matrix)
+    k, n = mat.shape
     subsets, zeros, flat = _flat_direction(unit_columns(mat))
     if not len(subsets):
         return None
     mds = len(subsets) == math.comb(n, k)
     finite = [m for m in ms if m < n - (k - 1 if mds else zeros)]
-    pool = _pool_heights(mat, subsets, finite) if finite else []
-    rows = np.array([u for _, u in pool]).reshape(-1, k)
-    # Undo the scaling, by a smaller power of two where it would overflow.
-    room = 1024 - np.frexp(np.abs(rows).max(axis=1, initial=0.0))[1]
-    rows = np.ldexp(rows, np.minimum(-exponent, room)[:, None]).tolist()
-    found = {m: ExtendedHeight(v, witness=u) for m, (v, _), u in zip(finite, pool, rows)}
+    found = dict(zip(finite, _pool_heights(mat, subsets, finite) if finite else ()))
     # Columns m .. n-1, fewer than k of them, share a null direction.
-    return [found.get(m) or ExtendedHeight(math.inf, witness=canonical_direction(
+    return [found.get(m) or (math.inf, canonical_direction(
         np.linalg.svd(mat[:, m:])[0][:, -1] if m >= n - k + 1 else flat).tolist()) for m in ms]
 
 
@@ -404,16 +382,23 @@ def _mheight_reference(generator: GeneratorMatrix, m: int) -> ExtendedHeight:
 
 
 def _heights(generator: GeneratorMatrix, ms: Sequence[int]) -> list[ExtendedHeight]:
+    """Heights at ``ms``, each engine run on ``G`` rescaled by a power of two."""
     k, n = generator.k, generator.n
     if k > _MAX_DIM:
         raise CapacityError(f"LP dimension {k} exceeds limit {_MAX_DIM}")
     if math.comb(n, k) > _MAX_SUBSETS:
         raise CapacityError(
             f"vertex pool over the {k}-subsets of n={n} columns is too large")
-    heights = _mheight_pool(generator, ms)
-    if heights is None:
-        heights = [_mheight_reference(generator, m) for m in ms]
-    return heights
+    mat, exponent = power_of_two_scaled(generator.matrix)
+    pairs = _mheight_pool(mat, ms)
+    if pairs is None:
+        scaled = GeneratorMatrix(mat, generator.family)
+        pairs = [(h.value, h.witness) for h in (_mheight_reference(scaled, m) for m in ms)]
+    # Undo the scaling, by a smaller power of two where it would overflow.
+    rows = np.array([u for v, u in pairs if v < math.inf]).reshape(-1, k)
+    room = 1024 - np.frexp(np.abs(rows).max(axis=1, initial=0.0))[1]
+    rows = iter(np.ldexp(rows, np.minimum(-exponent, room)[:, None]).tolist())
+    return [ExtendedHeight(v, witness=next(rows) if v < math.inf else u) for v, u in pairs]
 
 
 def exact_mheight(generator: GeneratorMatrix, m: int) -> ExtendedHeight:

@@ -32,6 +32,7 @@ from .codes import (
     check_integer,
     dual_dodecahedral,
     dual_icosahedral,
+    power_of_two_scaled,
 )
 from .errors import InvalidParameterError
 from .heights import ExtendedHeight
@@ -565,7 +566,9 @@ def domain_search(generator: GeneratorMatrix, m: int, domain: FundamentalDomain,
     keeps the first maximum, if it is strictly greater.  Infinity is
     reported at the first point, grid or refine, whose denominator order
     statistic is exactly zero while the top one is not; otherwise
-    unboundedness is left to the exact engine.  Every point goes through one
+    unboundedness is left to the exact engine.  The search runs on ``G``
+    rescaled by a power of two (exact), so no scale overflows; its witnesses
+    are domain points, which no scale changes.  Every point goes through one
     blocked evaluation kernel, and working memory beyond the
     ``resolution``-long parameter line is ``O(_GRID_CHUNK)`` points,
     whatever the resolution.
@@ -574,11 +577,11 @@ def domain_search(generator: GeneratorMatrix, m: int, domain: FundamentalDomain,
     if resolution is not None:
         check_integer("resolution", resolution, 2)
 
+    matrix = power_of_two_scaled(generator.matrix)[0]
     if isinstance(domain, ArcDomain):
         if generator.k != 2:
             raise InvalidParameterError("arc domains require a k=2 generator")
-        value, _, witness = _grid_max(_arc_vertices(generator.matrix, domain),
-                                      generator.matrix, m)
+        value, _, witness = _grid_max(_arc_vertices(matrix, domain), matrix, m)
     elif isinstance(domain, TriangleDomain):
         if len(domain.v1) != generator.k:
             raise InvalidParameterError(
@@ -587,10 +590,9 @@ def domain_search(generator: GeneratorMatrix, m: int, domain: FundamentalDomain,
         cell = 1.0 / (resolution - 1)
         grid = (((uu, vv), domain.points(uu, vv)) for uu, vv in
                 _triangle_grid(np.linspace(0.0, 1.0, resolution), 1.0 + ROUNDOFF_SLACK))
-        value, params, witness = _grid_max(grid, generator.matrix, m)
+        value, params, witness = _grid_max(grid, matrix, m)
         if params is not None:
-            refined = _grid_max(_triangle_vertices(generator.matrix, domain, *params, cell),
-                                generator.matrix, m)
+            refined = _grid_max(_triangle_vertices(matrix, domain, *params, cell), matrix, m)
             if refined is not None and (refined[1] is None or refined[0] > value):
                 value, _, witness = refined
     else:

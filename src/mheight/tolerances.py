@@ -9,7 +9,8 @@ height) in floating point; each comparison keeps its own form where it is made.
 RANK_TOL = 1e-9
 
 #: Absolute, on unit-norm constraint rows (on the pool, scaled by each
-#: column's norm): a constraint holds if it is violated by at most this.
+#: column's norm) of ``G`` rescaled by a power of two to a largest entry in
+#: [1, 2): a constraint holds if it is violated by at most this.
 FEAS_TOL = 1e-9
 
 #: Relative to the running maximum ratio: pool rows this close are kept for

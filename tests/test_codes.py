@@ -115,6 +115,11 @@ class TestFromColumns:
         with pytest.raises(InvalidParameterError):
             from_columns([(1.0, 0.0), (math.nan, 1.0)])
 
+    @pytest.mark.parametrize("entry", [1 + 2j, "1", "a", object()])
+    def test_non_real_entries_rejected(self, entry):
+        with pytest.raises(InvalidParameterError, match="real numbers"):
+            from_columns([[entry, 0], [0, 1]])
+
 
 class TestEncode:
     def test_half_circle_example(self):
@@ -134,6 +139,11 @@ class TestEncode:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidParameterError):
             encode(dual_polygonal(3), (1.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_information_vector_rejected(self, bad):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            encode(dual_icosahedral(), [bad, 0.0, 0.0])
 
     def test_order_perm_recovers_stats(self):
         g = dual_dodecahedral()
@@ -216,6 +226,15 @@ class TestGeneratorMatrix:
     def test_rejects_more_rows_than_columns(self):
         with pytest.raises(InvalidParameterError):
             from_columns([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
+
+    @pytest.mark.parametrize("matrix", [
+        np.array([[1 + 1j, 2], [0, 1]]),                    # complex: no part dropped
+        [["1", "2"], ["0", "1"]],                           # strings: not parsed
+        np.array([[None, 2.0], [0.0, 1.0]], dtype=object),  # object entries
+    ])
+    def test_non_real_entries_rejected(self, matrix):
+        with pytest.raises(InvalidParameterError, match="real numbers"):
+            GeneratorMatrix(matrix, mheight.Family("custom"))
 
     def test_matrix_is_read_only(self):
         g = dual_polygonal(3)

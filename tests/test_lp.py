@@ -1,8 +1,8 @@
 """LP engine: solver contract, configuration family, exact heights.
 
 The general-LP API (``solve_lp``, ``LPProblem``, the configuration family)
-lives in ``lp_oracle``; the library's private array solver and reference
-engine are checked against it.
+lives in ``lp_oracle``; the library's reference engine, and through it the
+array solver of its configuration LPs, is checked against it.
 """
 
 import math
@@ -144,23 +144,6 @@ class TestSolveLpRandomized:
             assert ours.status == status
             if status == OPTIMAL:
                 assert ours.value == pytest.approx(-ref.fun, abs=1e-7, rel=1e-7)
-
-    def test_array_solver_matches_oracle(self):
-        seen = set()
-        for problem in self._random_problems(250):
-            want = solve_lp(problem)
-            eq, ge = problem.eq_constraints, problem.ineq_constraints
-            rows = np.array([a for a, _ in (*eq, *ge)])
-            rhs = np.array([r for _, r in (*eq, *ge)])
-            got = lp_module._solve_lp(rows, rhs, len(eq), np.array(problem.objective))
-            seen.add(want.status)
-            if want.status == INFEASIBLE:
-                assert got is None
-            elif want.status == UNBOUNDED:
-                assert got[0] == math.inf and tuple(got[1]) == want.ray
-            else:
-                assert got[0] == want.value and tuple(got[1]) == want.point
-        assert seen == {OPTIMAL, UNBOUNDED, INFEASIBLE}
 
     def test_result_invariants(self):
         for problem in self._random_problems(250):
@@ -495,6 +478,43 @@ class TestVertexPool:
         for m in (1, 2):
             ref = lp_module._mheight_reference(g, m)
             assert prof.height(m).value == pytest.approx(ref.value, rel=1e-9)
+
+
+def _rank_deficient_codes(k, r, n):
+    """Six seeded ``G = B H`` with ``B`` ``k x r`` and ``H`` ``r x n``: rank
+    ``r < k``, so no ``k``-subset is independent and the reference engine
+    answers."""
+    rng = np.random.default_rng([k, r, n])
+    return [rng.normal(size=(k, r)) @ rng.normal(size=(r, n)) for _ in range(6)]
+
+
+class TestScaleNormalization:
+    """Both engines see ``G`` rescaled by one power of two, so the scale of
+    ``G`` changes no answer."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k,r,n", [(3, 2, 5), (3, 2, 6), (4, 2, 6), (4, 3, 6), (3, 1, 4)])
+    def test_rank_deficient_profile_at_any_scale(self, k, r, n, monkeypatch):
+        for mat in _rank_deficient_codes(k, r, n):
+            # Row-space reduction: the r x n rows of S V^T span the same
+            # codewords, have full rank, and so go through the pool.
+            _, s, vt = np.linalg.svd(mat)
+            with monkeypatch.context() as patch:
+                patch.setattr(lp_module, "_mheight_reference", None)
+                want = exact_profile(from_columns((s[:r, None] * vt[:r]).T)).values()
+            base = exact_profile(from_columns(mat.T))
+            for j in (-60, -20, 20, 60):
+                # Exact scalings: equal values, finite witnesses times 2^-j.
+                got = exact_profile(from_columns(np.ldexp(mat, j).T))
+                assert got.values() == base.values(), (mat, j)
+                for a, b in zip(got.heights, base.heights):
+                    shift = 0 if a.infinite else -j
+                    assert a.witness == tuple(np.ldexp(b.witness, shift)), (mat, j)
+            for scale in (1.0, 1e100, 1e-100, 1e200, 1e-200):
+                got = base if scale == 1.0 else exact_profile(from_columns((mat * scale).T))
+                values = got.values()
+                assert [math.isinf(v) for v in values] == [math.isinf(v) for v in want], scale
+                assert values == pytest.approx(want, rel=1e-9), (mat, scale)
 
 
 class TestInvarianceProperties:

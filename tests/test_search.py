@@ -9,6 +9,7 @@ import pytest
 from mheight import (
     PHI,
     Family,
+    GeneratorMatrix,
     InvalidParameterError,
     TriangleDomain,
     dodecahedral_candidates,
@@ -411,6 +412,18 @@ class TestDomainSearch:
         h = domain_search(g, 3, dodecahedral_domain(), 2)
         exact = exact_mheight(g, 3)
         assert 1.0 - 1e-12 <= h.value <= exact.value + 1e-9
+
+    @pytest.mark.parametrize("scale", [1e300, 1e308])
+    @pytest.mark.parametrize("make,m,domain", [
+        (dual_dodecahedral, 5, dodecahedral_domain),
+        (lambda: dual_polygonal(16), 4, lambda: polygonal_domain(16))])
+    def test_extreme_scale_changes_nothing(self, make, m, domain, scale):
+        # The search runs on G rescaled by a power of two, so entries near
+        # the float64 limit overflow nothing (RuntimeWarning is an error).
+        g = make()
+        want = domain_search(g, m, domain())
+        got = domain_search(GeneratorMatrix(g.matrix * scale, g.family), m, domain())
+        assert (got.value, got.witness) == (want.value, want.witness)
 
     def test_search_witness_reproduces_value(self):
         g = dual_dodecahedral()
