@@ -25,6 +25,7 @@ from .codes import (
     Codeword,
     Family,
     GeneratorMatrix,
+    builtin_generator,
     dual_dodecahedral,
     dual_icosahedral,
     dual_polygonal,
@@ -67,7 +68,8 @@ __all__ = [
     "ExtendedHeight", "Family", "GeneratorMatrix", "InvalidParameterError",
     "MHeightError", "MHeightProfile", "MonotonicityReport",
     "NoFiniteRatioError", "PHI", "RankReport", "TriangleDomain",
-    "UnsupportedFamilyError", "Violation", "check_spec", "closed_profile",
+    "UnsupportedFamilyError", "Violation", "builtin_generator", "check_spec",
+    "closed_profile",
     "dodecahedral_candidates", "dodecahedral_domain", "dodecahedral_height",
     "dodecahedral_rank_check", "domain_search", "dual_dodecahedral",
     "dual_icosahedral", "dual_polygonal", "encode", "exact_mheight",

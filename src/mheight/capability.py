@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .codes import check_integer
+from .codes import check_integer, real_array
 from .errors import InvalidParameterError, NoFiniteRatioError
 from .heights import ExtendedHeight, MHeightProfile
 
@@ -33,12 +33,14 @@ class CapabilitySpec:
     def __post_init__(self) -> None:
         check_integer("tau", self.tau, 0)
         check_integer("sigma", self.sigma, 0)
+        for name in ("delta", "Delta"):
+            object.__setattr__(self, name, float(real_array(name, getattr(self, name), 0)))
         if not self.delta > 0:
             raise InvalidParameterError("delta must be positive")
         if not self.Delta > self.delta:
             raise InvalidParameterError("Delta must exceed delta")
         if not math.isfinite(self.ratio):
-            raise InvalidParameterError("Delta and Delta/delta must be finite")
+            raise InvalidParameterError("Delta/delta must be finite")
 
     @property
     def ratio(self) -> float:
@@ -52,7 +54,10 @@ class CapabilitySpec:
 
 def required_ratio(height: ExtendedHeight | float) -> float:
     """Minimum ``Delta/delta`` supporting a claim at the given height."""
-    value = height.value if isinstance(height, ExtendedHeight) else float(height)
+    try:
+        value = height.value if isinstance(height, ExtendedHeight) else float(height)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"height must be a real number, got {height!r}") from None
     if math.isnan(value) or math.isinf(value):
         raise NoFiniteRatioError("no finite ratio supports an infinite height")
     return 2.0 * (value + 1.0)
@@ -66,8 +71,7 @@ def feasible_pairs(profile: MHeightProfile, ratio: float) -> list[tuple[int, int
     claim ``(0, 0)`` is excluded.  Sorted by ``tau`` then ``sigma``,
     both descending.
     """
-    if not math.isfinite(ratio):
-        raise InvalidParameterError(f"ratio must be finite, got {ratio}")
+    ratio = float(real_array("ratio", ratio, 0))
     pairs = []
     top = profile.max_m
     for tau in range(top // 2, -1, -1):

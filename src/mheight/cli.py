@@ -26,6 +26,7 @@ from .codes import (
     DUAL_POLYGONAL,
     Family,
     GeneratorMatrix,
+    builtin_generator,
     dual_dodecahedral,
     dual_icosahedral,
     dual_polygonal,
@@ -35,12 +36,7 @@ from .errors import MHeightError
 from .lp import exact_mheight, exact_profile
 
 _FAMILIES = (DUAL_POLYGONAL, DUAL_ICOSAHEDRAL, DUAL_DODECAHEDRAL)
-_SAMPLED_SUITES = ("polygonal-order", "icos-chain", "dode-ranks")
-_SUITES = (*_SAMPLED_SUITES, "monotonicity", "candidates", "cross-check")
-#: The smallest ``--samples`` each suite accepts; ``candidates`` takes none.
-_MIN_SAMPLES = {**dict.fromkeys(_SAMPLED_SUITES, 1), "monotonicity": 2, "cross-check": 0}
 _POLYGONAL_NS = range(3, 13)
-_MONOTONICITY_GRID = 50
 _MATCH_TOL = 1e-9       # verify contract: candidate and sampled heights
 _AGREE_TOL = 1e-6       # verify contract: closed vs exact profiles, relative
 
@@ -90,15 +86,11 @@ def _emit(value: Any, out: list[str]) -> None:
 
 
 def _build_generator(args: argparse.Namespace) -> GeneratorMatrix:
-    if args.family == DUAL_POLYGONAL:
-        if args.n is None:
-            raise MHeightError("--n is required for the dual-polygonal family")
-        return dual_polygonal(args.n)
-    if args.n is not None:
+    if args.family == DUAL_POLYGONAL and args.n is None:
+        raise MHeightError("--n is required for the dual-polygonal family")
+    if args.family != DUAL_POLYGONAL and args.n is not None:
         raise MHeightError(f"--n is only accepted for the {DUAL_POLYGONAL} family")
-    if args.family == DUAL_ICOSAHEDRAL:
-        return dual_icosahedral()
-    return dual_dodecahedral()
+    return builtin_generator(Family(args.family, args.n))
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -210,8 +202,7 @@ def _suite_polygonal_order(samples: int, rng: np.random.Generator) -> list[dict]
     return checks
 
 
-def _suite_triangle_ranks(suite: str, samples: int, rng: np.random.Generator) -> list[dict]:
-    icos = suite == "icos-chain"
+def _suite_triangle_ranks(icos: bool, samples: int, rng: np.random.Generator) -> list[dict]:
     count = search.icosahedral_chain_violations if icos else search.dodecahedral_rank_violations
     bad = sum(int(count(us, vs).sum()) for us, vs in _triangle_chunks(rng, samples))
     name = "icosahedral-chain" if icos else "dodecahedral-ranks"
@@ -236,10 +227,11 @@ def _suite_monotonicity(resolution: int) -> list[dict]:
 def _suite_candidates() -> list[dict]:
     generator = dual_dodecahedral()
     domain = search.dodecahedral_domain()
-    points = [domain.point(u, v) for u, v in search.dodecahedral_candidates()]
+    codewords = [encode(generator, domain.point(u, v))
+                 for u, v in search.dodecahedral_candidates()]
     checks = []
     for m in range(3, 8):
-        best = max(encode(generator, x).height(m) for x in points)
+        best = max(c.height(m) for c in codewords)
         closed = closed_form.dodecahedral_height(m)
         err = abs(best - closed.value) / closed.value
         checks.append({"name": f"candidate-max-m{m}", "relative_error": err,
@@ -288,19 +280,22 @@ def _suite_cross_check(samples: int, rng: np.random.Generator) -> list[dict]:
     return checks
 
 
+#: suite -> (runner(samples, rng), default --samples, smallest --samples);
+#: ``candidates`` takes no ``--samples``.
+_SUITES = {
+    "polygonal-order": (_suite_polygonal_order, 1000, 1),
+    "icos-chain": (functools.partial(_suite_triangle_ranks, True), 1000, 1),
+    "dode-ranks": (functools.partial(_suite_triangle_ranks, False), 1000, 1),
+    "monotonicity": (lambda resolution, _: _suite_monotonicity(resolution), 50, 2),
+    "candidates": (lambda *_: _suite_candidates(), None, None),
+    "cross-check": (_suite_cross_check, 0, 0),
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    samples = args.samples
-    if args.suite == "polygonal-order":
-        checks = _suite_polygonal_order(1000 if samples is None else samples, rng)
-    elif args.suite in ("icos-chain", "dode-ranks"):
-        checks = _suite_triangle_ranks(args.suite, 1000 if samples is None else samples, rng)
-    elif args.suite == "monotonicity":
-        checks = _suite_monotonicity(_MONOTONICITY_GRID if samples is None else samples)
-    elif args.suite == "candidates":
-        checks = _suite_candidates()
-    else:
-        checks = _suite_cross_check(0 if samples is None else samples, rng)
+    runner, default, _ = _SUITES[args.suite]
+    checks = runner(default if args.samples is None else args.samples,
+                    np.random.default_rng(args.seed))
     passed = all(c["passed"] for c in checks)
     doc = {"suite": args.suite, "seed": args.seed,
            "checks": checks, "passed": passed}
@@ -371,7 +366,7 @@ def run(argv: Sequence[str]) -> int:
         if args.command == "verify" and args.seed < 0:
             parser.error("--seed must be >= 0")
         if args.command == "verify" and args.samples is not None:
-            floor = _MIN_SAMPLES.get(args.suite)
+            floor = _SUITES[args.suite][2]
             if floor is None:
                 parser.error(f"--samples does not apply to suite {args.suite}")
             if args.samples < floor:

@@ -22,11 +22,11 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, UnsupportedFamilyError
 from .tolerances import RANK_TOL, ROUNDOFF_SLACK
 
 #: Golden ratio, evaluated at full working precision.
@@ -84,15 +84,11 @@ class GeneratorMatrix:
 
     def __init__(self, matrix: np.ndarray | Sequence[Sequence[float]],
                  family: Family) -> None:
-        mat = _real_array(matrix).astype(float)
-        if mat.ndim != 2:
-            raise InvalidParameterError("generator matrix must be 2-D")
+        mat = real_array("generator matrix", matrix, 2)
         k, n = mat.shape
         if k < 1 or n < k:
             raise InvalidParameterError(
                 f"generator matrix needs n >= k >= 1, got k={k}, n={n}")
-        if not np.all(np.isfinite(mat)):
-            raise InvalidParameterError("generator entries must be finite")
         mat.setflags(write=False)
         self._matrix = mat
         self._family = family
@@ -139,29 +135,26 @@ class GeneratorMatrix:
     def from_json_dict(cls, doc: dict) -> "GeneratorMatrix":
         """Inverse of :meth:`to_json_dict`.  Entries must be JSON numbers
         (not strings, booleans or null); ``k`` and ``n``, when present, must
-        match the columns, and a built-in family tag its shape."""
+        match the columns, and a built-in family tag names its built-in
+        generator, column for column."""
         try:
             kind, columns = doc["family"], doc["columns"]
-            if any(isinstance(x, bool) or not isinstance(x, (int, float))
-                   for column in columns for x in column):
-                raise TypeError("matrix entries must be JSON numbers")
-            mat = np.array(columns, dtype=float).T
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InvalidParameterError(f"malformed matrix document: {exc}")
-        if mat.ndim != 2:
-            raise InvalidParameterError("generator matrix must be 2-D")
+        mat = real_array("generator columns", columns, 2).T
+        if any(isinstance(x, bool) for column in columns for x in column):
+            raise InvalidParameterError("generator columns must be JSON numbers, not booleans")
         k, n = mat.shape
         for key, size in (("k", k), ("n", n)):
             if key in doc and doc[key] != size:
                 raise InvalidParameterError(
                     f"{key}={doc[key]!r} disagrees with the {k} x {n} columns")
-        family = Family(kind, n if kind == DUAL_POLYGONAL else None)
-        shape = {DUAL_POLYGONAL: (2, n), DUAL_ICOSAHEDRAL: (3, 6),
-                 DUAL_DODECAHEDRAL: (3, 10)}.get(family.kind, (k, n))
-        if shape != (k, n):
+        generator = cls(mat, Family(kind, n if kind == DUAL_POLYGONAL else None))
+        if kind != CUSTOM and not np.array_equal(
+                generator.matrix, builtin_generator(generator.family).matrix):
             raise InvalidParameterError(
-                f"a {family.kind} generator is {shape[0]} x {shape[1]}, got {k} x {n}")
-        return cls(mat, family)
+                f"the columns are not those of the built-in {generator.family} generator")
+        return generator
 
     def __repr__(self) -> str:
         return f"GeneratorMatrix(k={self.k}, n={self.n}, family={self._family})"
@@ -219,14 +212,37 @@ def check_integer(name: str, value: object, lo: int, hi: int | None = None) -> N
         raise InvalidParameterError(f"{name} must be {kind}{bounds}, got {got}")
 
 
+def real_array(name: str, values: object, ndim: int) -> np.ndarray:
+    """``values`` as a new C-ordered float64 array of ``ndim`` axes (0: a
+    scalar) and finite entries.  Every public real parameter is read here,
+    so ragged nesting, complex, string or object entries, another number of
+    axes and NaN or infinite entries raise in one format, such as ``alphas
+    must be a 1-D array of finite real numbers, got entry nan``."""
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError):
+        got = "ragged nesting"
+    else:
+        if arr.dtype.kind not in "biuf":
+            got = f"{arr.dtype.name.rstrip('0123456789')} entries"
+        elif arr.ndim != ndim:
+            got = f"shape {arr.shape}"
+        else:
+            arr = arr.astype(float, order="C")
+            finite = np.isfinite(arr)
+            if finite.all():
+                return arr
+            got = f"entry {arr[~finite][0]}"
+    what = f"a {ndim}-D array of finite real numbers" if ndim else "a finite real number"
+    raise InvalidParameterError(f"{name} must be {what}, got {got}")
+
+
 def encode(generator: GeneratorMatrix, u: Sequence[float] | np.ndarray) -> Codeword:
     """Encode the information vector ``u`` and compute its order statistics."""
-    vec = np.asarray(u, dtype=float)
+    vec = real_array("information vector", u, 1)
     if vec.shape != (generator.k,):
         raise InvalidParameterError(
             f"information vector must have shape ({generator.k},), got {vec.shape}")
-    if not all(map(math.isfinite, vec.tolist())):
-        raise InvalidParameterError("information vector entries must be finite")
     entries = vec @ generator.matrix
     mags = np.abs(entries)
     # stable sort on the negated magnitudes -> ties broken by ascending index
@@ -265,34 +281,22 @@ def dual_dodecahedral() -> GeneratorMatrix:
     return GeneratorMatrix(mat, Family(DUAL_DODECAHEDRAL))
 
 
-def from_columns(columns: Iterable[Sequence[float]]) -> GeneratorMatrix:
+def builtin_generator(family: Family) -> GeneratorMatrix:
+    """The built-in generator that the tag ``family`` names."""
+    if family.kind == CUSTOM:
+        raise UnsupportedFamilyError("the custom family has no built-in generator")
+    return (dual_polygonal(family.n) if family.kind == DUAL_POLYGONAL else
+            dual_icosahedral() if family.kind == DUAL_ICOSAHEDRAL else dual_dodecahedral())
+
+
+def from_columns(columns: Sequence[Sequence[float]] | np.ndarray) -> GeneratorMatrix:
     """Build a custom-tagged generator from explicit column vectors.
 
     All columns must share one dimension ``k >= 1`` and there must be at
     least ``k`` of them.  No rank condition is imposed here; use
     :func:`is_mds` for that.
     """
-    cols = [_real_array(c) for c in columns]
-    if not cols:
-        raise InvalidParameterError("from_columns needs at least one column")
-    k = cols[0].shape[0] if cols[0].ndim == 1 else -1
-    for c in cols:
-        if c.ndim != 1 or c.shape[0] != k:
-            raise InvalidParameterError("columns must be 1-D vectors of equal dimension")
-    if k < 1:
-        raise InvalidParameterError("columns must have dimension >= 1")
-    if len(cols) < k:
-        raise InvalidParameterError(
-            f"need at least k={k} columns, got {len(cols)}")
-    return GeneratorMatrix(np.column_stack(cols), Family(CUSTOM))
-
-
-def _real_array(values: object) -> np.ndarray:
-    """``values`` as an array; complex, string and object entries raise."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "biuf":
-        raise InvalidParameterError(f"generator entries must be real numbers, got {arr.dtype}")
-    return arr
+    return GeneratorMatrix(real_array("generator columns", columns, 2).T, Family(CUSTOM))
 
 
 def power_of_two_scaled(matrix: np.ndarray) -> tuple[np.ndarray, int]:
@@ -315,7 +319,7 @@ def unit_columns(matrix: np.ndarray) -> np.ndarray:
 
 def canonical_direction(vec: np.ndarray) -> np.ndarray:
     """Unit vector along ``vec`` whose first entry above round-off is positive."""
-    v = np.asarray(vec, dtype=float) / np.linalg.norm(vec)
+    v = vec / np.linalg.norm(vec)
     lead = v[np.abs(v) > ROUNDOFF_SLACK]
     return -v if lead.size and lead[0] < 0 else v
 

@@ -23,15 +23,18 @@ class ExtendedHeight:
     witness: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        val = float(self.value)
+        try:
+            val = float(self.value)
+            if self.witness is not None:
+                object.__setattr__(self, "witness", tuple(map(float, self.witness)))
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameterError(
+                f"height value and witness must be real numbers: {exc}") from None
         if math.isnan(val):
             raise InvalidParameterError("height value cannot be NaN")
         if not math.isinf(val) and val < 1.0 - HEIGHT_SLACK:
             raise InvalidParameterError(f"finite height must be >= 1, got {val}")
         object.__setattr__(self, "value", val)
-        if self.witness is not None:
-            object.__setattr__(self, "witness",
-                               tuple(float(x) for x in self.witness))
 
     @property
     def infinite(self) -> bool:

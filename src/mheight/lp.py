@@ -263,12 +263,14 @@ def _pool_heights(mat: np.ndarray, subsets: np.ndarray,
     col = np.arange(n)
     word, power = col // _KEY_BITS, 2.0 ** (_KEY_BITS - 1 - col % _KEY_BITS)
     weight = np.where(word == np.arange(word[-1] + 1)[:, None], power, 0.0)
-    below, key = 1.0 * (col[:, None] >= col), np.full((len(weight), len(ms)), -1.0)
+    key = np.full((len(weight), len(ms)), -1.0)
     live = np.where(np.isfinite(best), best * (1.0 - TIE_TOL), np.nan)[:, None]  # none for inf
     pairs = max(1, CHUNK_ENTRIES // n)          # (row, m) pairs per batch
     for u, place, ratios, mags, cls in kept:
         mid = cls & 1
-        count = below @ mid                     # near-unit entries up to each
+        count = mid.astype(float)               # near-unit entries up to each,
+        for j in range(1, n):                   # summed row by row: np.cumsum on
+            count[j] += count[j - 1]            # axis 0 strides down the columns
         last = count.max(axis=0, where=cls == 3, initial=0.0)
         rank = np.where(cls == 0, n + 1.0, count * mid)
         room = ms[:, None] + 1 - np.add.reduce(cls == 2, axis=0)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -33,6 +32,7 @@ from .codes import (
     dual_dodecahedral,
     dual_icosahedral,
     power_of_two_scaled,
+    real_array,
 )
 from .errors import InvalidParameterError
 from .heights import ExtendedHeight
@@ -67,17 +67,12 @@ class TriangleDomain:
     v3: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        vs = []
-        for name in ("v1", "v2", "v3"):
-            vs.append(np.asarray(getattr(self, name), dtype=float))
-            object.__setattr__(self, name, tuple(float(x) for x in vs[-1]))
-        span = np.array([vs[0] - vs[2], vs[1] - vs[2]])
-        if np.linalg.matrix_rank(span) < 2:
+        vertices = real_array("triangle vertices", (self.v1, self.v2, self.v3), 2)
+        for name, vertex in zip(("v1", "v2", "v3"), vertices.tolist()):
+            object.__setattr__(self, name, tuple(vertex))
+        object.__setattr__(self, "_vertex_arrays", tuple(vertices))
+        if np.linalg.matrix_rank(vertices[:2] - vertices[2]) < 2:
             raise InvalidParameterError("triangle vertices are affinely dependent")
-
-    @cached_property
-    def _vertex_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return np.array(self.v1), np.array(self.v2), np.array(self.v3)
 
     def point(self, u: float, v: float) -> np.ndarray:
         a, b, c = self._vertex_arrays
@@ -194,20 +189,15 @@ class _RuleCheck:
         return RankReport(point, tuple(int(j) for j in perm), violations)
 
 
-def _check_alphas(n: int, alphas: np.ndarray) -> None:
+def _arc_order(n: int, alphas: Sequence[float] | np.ndarray) -> _RuleCheck:
+    """Rank ``k`` of ``|cos(pi*j/n - alpha)|`` is attained at index
+    :func:`polygonal_rank_index` ``(n, k)``, up to ties."""
     check_integer("n", n, 2)
-    upper = math.pi / (2 * n)
+    alphas, upper = real_array("alphas", alphas, 1), math.pi / (2 * n)
     bad = (alphas < -ROUNDOFF_SLACK) | (alphas > upper + ROUNDOFF_SLACK)
     if bad.any():
         raise InvalidParameterError(
             f"alpha must lie in [0, {upper:.6g}], got {alphas[bad][0]}")
-
-
-def _arc_order(n: int, alphas: Sequence[float] | np.ndarray) -> _RuleCheck:
-    """Rank ``k`` of ``|cos(pi*j/n - alpha)|`` is attained at index
-    :func:`polygonal_rank_index` ``(n, k)``, up to ties."""
-    alphas = np.asarray(alphas, dtype=float)
-    _check_alphas(n, alphas)
     mags = np.abs(np.cos(np.pi * np.arange(n) / n - alphas[:, None]))
     attained = np.sort(mags, axis=1)[:, ::-1]
     expected = [polygonal_rank_index(n, k) for k in range(n)]
@@ -241,27 +231,26 @@ def _rank_sets(mags: np.ndarray) -> _RuleCheck:
                       np.column_stack(gaps), np.column_stack(failed))
 
 
-def _check_triangle_params(us: np.ndarray, vs: np.ndarray) -> None:
+def _triangle_params(us: object, vs: object) -> np.ndarray:
+    """``(us, vs)`` as one ``(2, N)`` array of points in the triangle."""
+    us, vs = params = real_array("(us, vs)", (us, vs), 2)
     bad = (us < -ROUNDOFF_SLACK) | (vs < -ROUNDOFF_SLACK) | (us + vs > 1.0 + ROUNDOFF_SLACK)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise InvalidParameterError(
             "(u, v) must satisfy u, v >= 0 and u + v <= 1, "
             f"got ({us[i]}, {vs[i]})")
+    return params
 
 
-def _icosa_chain(us: Sequence[float] | np.ndarray,
-                 vs: Sequence[float] | np.ndarray) -> _RuleCheck:
-    us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
-    _check_triangle_params(us, vs)
+def _icosa_chain(us: np.ndarray, vs: np.ndarray) -> _RuleCheck:
+    us, vs = _triangle_params(us, vs)
     mags = np.abs(icosahedral_domain().points(us, vs) @ dual_icosahedral().matrix)
     return _dominance(mags, tuple(zip(_ICOSA_CHAIN, _ICOSA_CHAIN[1:])))
 
 
-def _dode_ranks(us: Sequence[float] | np.ndarray,
-                vs: Sequence[float] | np.ndarray) -> _RuleCheck:
-    us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
-    _check_triangle_params(us, vs)
+def _dode_ranks(us: np.ndarray, vs: np.ndarray) -> _RuleCheck:
+    us, vs = _triangle_params(us, vs)
     mags = np.abs(dodecahedral_domain().points(us, vs) @ dual_dodecahedral().matrix)
     pairs, ranks = _dominance(mags, _DODE_PAIRS), _rank_sets(mags)
     return _RuleCheck(mags, pairs.labels + ranks.labels,
@@ -271,7 +260,7 @@ def _dode_ranks(us: Sequence[float] | np.ndarray,
 
 def polygonal_order_indices(n: int, alpha: float) -> RankReport:
     """Check the fixed arc ordering of ``|cos(pi*j/n - alpha)|`` at ``alpha``."""
-    return _arc_order(n, [alpha]).report((float(alpha),), 0)
+    return _arc_order(n, [real_array("alpha", alpha, 0)]).report((float(alpha),), 0)
 
 
 def polygonal_order_violations(n: int, alphas: np.ndarray) -> np.ndarray:
@@ -281,7 +270,7 @@ def polygonal_order_violations(n: int, alphas: np.ndarray) -> np.ndarray:
 
 def icosahedral_chain_check(u: float, v: float) -> RankReport:
     """Verify the fixed magnitude chain of the six axis projections."""
-    return _icosa_chain([u], [v]).report((float(u), float(v)), 1)
+    return _icosa_chain(*real_array("(u, v)", (u, v), 1)[:, None]).report((float(u), float(v)), 1)
 
 
 def icosahedral_chain_violations(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -291,7 +280,7 @@ def icosahedral_chain_violations(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
 def dodecahedral_rank_check(u: float, v: float) -> RankReport:
     """Verify rank supports and pairwise dominances of the ten projections."""
-    return _dode_ranks([u], [v]).report((float(u), float(v)), 1)
+    return _dode_ranks(*real_array("(u, v)", (u, v), 1)[:, None]).report((float(u), float(v)), 1)
 
 
 def dodecahedral_rank_violations(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
